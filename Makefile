@@ -26,11 +26,16 @@ test-cluster:
 
 # Batch/cluster dispatcher: workload generation, the four allocation
 # policies (FCFS, EASY backfilling, priority, fractional sharing), the
-# batch campaign layer, its CLI, and the EASY-guarantee property tests.
+# batch campaign layer, its CLI, the EASY-guarantee property tests, the
+# differential test against the pre-index dispatcher kept in
+# tests/oracles/, and the index audit; then the fault-aware dispatcher
+# tests once more with that audit running at every event.
 test-batch:
 	$(PY) -m pytest tests/test_batch_workload.py tests/test_batch_policies.py \
 		tests/test_batch_campaign.py tests/test_properties_batch.py \
-		tests/test_cli_batch.py
+		tests/test_cli_batch.py tests/test_batch_oracle.py \
+		tests/test_batch_sanitizer.py
+	REPRO_SANITIZE=1 $(PY) -m pytest tests/test_batch_faults.py
 
 # Fault-aware batch scheduling: node failure/drain/requeue schedules, the
 # conservation-law property tests, the sim-runtime LRU memo, and the

@@ -8,7 +8,11 @@ The suite measures the per-event hot path at three granularities:
 * **macro** — single simulated NAS executions (``cg.B`` stock and HPL,
   ``lu.A``, ``is.A``) reported as simulator events per wall second;
 * **campaign** — a small serial ``is.A`` campaign with provenance on,
-  the unit of work every table/figure regeneration multiplies.
+  the unit of work every table/figure regeneration multiplies;
+* **batch** — the batch dispatcher alone: one 1k-job backlog trace
+  (arrivals at about twice the drain rate) on a 16-node pool under
+  analytic pricing, for the ``priority`` and ``share`` policies, reported
+  as dispatched jobs per wall second.
 
 Every metric reduces to one ``score`` where **higher is better**.  A run
 also measures a fixed pure-Python *calibration* workload; the regression
@@ -228,8 +232,31 @@ def campaign_is_a(reps: int = DEFAULT_REPS, n_runs: int = 16) -> Dict[str, float
     return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
 
 
+def batch_dispatch(policy: str, reps: int = DEFAULT_REPS) -> Dict[str, float]:
+    """One 1k-job backlog trace dispatched under *policy* (jobs/sec).
+
+    Analytic pricing keeps the node-level simulator out of the
+    measurement, so the score is the dispatcher's own cost: queue
+    ordering, release and residency bookkeeping, processor-sharing
+    repricing."""
+    from repro.batch import WorkloadConfig, generate_trace, simulate_batch
+
+    trace = generate_trace(
+        WorkloadConfig(n_jobs=1_000, interarrival_us=1_840, max_nodes=4), 0
+    )
+
+    def run() -> Tuple[float, float]:
+        t0 = time.perf_counter()
+        simulate_batch(trace, 16, policy, runtime_model="analytic")
+        dt = time.perf_counter() - t0
+        return len(trace) / dt, dt
+
+    score, wall = _best_of(run, reps)
+    return {"score": score, "unit": "jobs/s", "wall_s": round(wall, 4)}
+
+
 #: Metric name -> zero-argument measurement callable.  Ordered micro →
-#: macro → campaign so a partial run still reports the cheap end.
+#: macro → campaign → batch so a partial run still reports the cheap end.
 SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "micro_event_queue": micro_event_queue,
     "micro_sim_loop": micro_sim_loop,
@@ -239,6 +266,8 @@ SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "nas_lu_A_stock": lambda: _macro_nas("lu", "A", "stock", DEFAULT_REPS),
     "nas_is_A_stock": lambda: _macro_nas("is", "A", "stock", DEFAULT_REPS, inner=4),
     "campaign_is_A_16": campaign_is_a,
+    "batch_dispatch_priority": lambda: batch_dispatch("priority"),
+    "batch_dispatch_share": lambda: batch_dispatch("share"),
 }
 
 

@@ -43,15 +43,17 @@ schedules and digests are byte-identical to historical ones.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.batch.policies import BatchPolicy, make_policy
 from repro.batch.runtime import base_runtime_us
 from repro.batch.workload import BatchJob
 from repro.faults.plan import FaultKind, FaultPlan
+from repro.kernel.invariants import InvariantViolation, sanitizer_enabled
 
 __all__ = [
     "BSLD_TAU_US",
@@ -105,12 +107,12 @@ class _Running:
 
     __slots__ = (
         "job", "nodes", "start", "base_runtime", "limit", "demand",
-        "remaining", "rate", "version", "backfilled", "shared_peak",
+        "finish_at", "load", "version", "backfilled", "shared_peak",
     )
 
     def __init__(self, job: BatchJob, nodes: Tuple[int, ...], start: Fraction,
                  base_runtime: int, limit: Optional[int],
-                 demand: Optional[Fraction] = None) -> None:
+                 demand: Fraction) -> None:
         self.job = job
         self.nodes = nodes
         self.start = start
@@ -119,13 +121,16 @@ class _Running:
         #: Service this incarnation owes, in dedicated-node µs.  Equals the
         #: isolated base runtime on a first start; a restart owes
         #: base - completed + restart_cost (checkpoint resume).
-        self.demand = Fraction(base_runtime) if demand is None else demand
-        # Work still owed at the current rate.  Rigid jobs owe
-        # min(demand, limit) at rate 1; shared jobs owe demand at
-        # 1/residents.
-        self.remaining = (min(self.demand, Fraction(limit))
-                          if limit is not None else self.demand)
-        self.rate = Fraction(1)
+        self.demand = demand
+        #: Predicted completion instant.  Rigid jobs run at rate 1 until
+        #: min(demand, limit); a shared job runs at 1/load and is re-timed
+        #: only when its load changes, so the work it still owes is always
+        #: (finish_at - now) / load — settled where it is read, never per
+        #: event.
+        self.finish_at = start + (min(demand, Fraction(limit))
+                                  if limit is not None else demand)
+        #: Worst residency across the job's nodes (shared jobs only).
+        self.load = 1
         self.version = 0
         self.backfilled = False
         self.shared_peak = 1
@@ -252,6 +257,22 @@ class BatchDispatcher:
     is the checkpoint-resume surcharge each restart owes; ``placement``
     selects ``lowest`` (lowest-id-first, the historical rule) or ``wary``
     (deprioritize recently-failed nodes, ties by id).
+
+    The state policies read is indexed and kept current as the dispatcher
+    runs instead of being rebuilt at every event:
+
+    * ``queue`` in arrival/requeue order, with a parallel list of enqueue
+      serials so a start anywhere in the queue finds its slot by bisection;
+    * ``ranked`` — the queue in the policy's time-invariant ``rank_key``
+      order, for policies that rank (``priority``);
+    * ``releases`` — rigid running jobs by ``(guaranteed_release,
+      job_id)``, for EASY's shadow walk;
+    * ``_free`` — free up-nodes, sorted; and ``_on_node`` — node ->
+      ``{job_id: running job}``, which answers evictions, node returns,
+      occupancy and lost capacity without a scan of ``running``.
+
+    Under ``REPRO_SANITIZE=1`` every event ends with an audit of these
+    indexes against the ground truth they summarize.
     """
 
     def __init__(
@@ -304,17 +325,31 @@ class BatchDispatcher:
         #: code path below is gated on this (or degenerates to a no-op) so
         #: unarmed runs replay the historical dispatcher byte-for-byte.
         self._armed = fault_plan is not None and not fault_plan.is_empty
+        self._sanitize = sanitizer_enabled()
 
         self.now: Fraction = Fraction(0)
         self.queue: List[BatchJob] = []
+        self._queue_serials: List[int] = []  # parallel to queue, ascending
+        self._queued: Dict[int, int] = {}  # job_id -> enqueue serial
+        self._enqueues = 0
+        self.ranked: Optional[List[tuple]] = (
+            [] if policy.rank_key is not None else None)
         self.running: Dict[int, _Running] = {}
+        self.releases: List[Tuple[Fraction, int]] = []
         self._free: List[int] = list(range(pool_nodes))  # kept sorted
-        self._residents: List[int] = [0] * pool_nodes
+        self._on_node: List[Dict[int, _Running]] = [
+            {} for _ in range(pool_nodes)
+        ]
+        self._occupied = 0  # nodes with at least one resident
         self._node_state: List[str] = [_UP] * pool_nodes
         self._node_failures: List[int] = [0] * pool_nodes
         self._events: list = []
         self._seq = 0
         self._vclock = 0
+        #: :meth:`_next_shared_finish`'s answer, valid until a membership
+        #: change sets ``_next_stale``.
+        self._next_shared: Optional[_Running] = None
+        self._next_stale = True
         self._done: Dict[int, JobOutcome] = {}
         self._busy_node_time: Fraction = Fraction(0)
         self._node_lost_time: Fraction = Fraction(0)
@@ -347,16 +382,17 @@ class BatchDispatcher:
         return len(self._free)
 
     def residents_on(self, node: int) -> int:
-        return self._residents[node]
+        return len(self._on_node[node])
 
     def least_loaded_nodes(self, k: int) -> Tuple[int, ...]:
         """Up to *k* in-service nodes with fewest residents (ties: lowest
         id).  May return fewer than *k* while nodes are failed/draining —
         the share policy must check the width before placing."""
+        on_node = self._on_node
         order = sorted(
             (n for n in range(self.pool_nodes)
              if self._node_state[n] == _UP),
-            key=lambda n: (self._residents[n], n),
+            key=lambda n: (len(on_node[n]), n),
         )
         return tuple(order[:k])
 
@@ -395,35 +431,60 @@ class BatchDispatcher:
         rj.backfilled = backfilled
         self._vclock += 1
         rj.version = self._vclock
-        self.running[job.job_id] = rj
-        self.queue.remove(job)
-        self._starts[job.job_id] = self.now
-        self._first_start.setdefault(job.job_id, self.now)
+        self._admit(rj)
+        insort(self.releases, (rj.guaranteed_release, job.job_id))
         if backfilled:
             self.backfills += 1
         promised = self._promises.get(job.job_id)
         if promised is not None and self.now > promised:
             self.head_delays += 1
-        self._push(self.now + min(rj.demand, Fraction(job.estimate)),
-                   _EV_FINISH, job.job_id, rj.version)
+        self._push(rj.finish_at, _EV_FINISH, job.job_id, rj.version)
 
     def start_shared(self, job: BatchJob, nodes: Tuple[int, ...]) -> None:
         """Co-locate *job* on *nodes*; every node's capacity is split
-        equally among residents, so all co-residents are repriced."""
+        equally among residents, so the co-residents are repriced."""
         assert job.job_id not in self.running
         base = self._base_runtime(job)
-        colocated = any(self._residents[n] > 0 for n in nodes)
+        colocated = any(self._on_node[n] for n in nodes)
         rj = _Running(job, tuple(nodes), self.now, base, limit=None,
                       demand=self._incarnation_demand(job, base))
-        for n in nodes:
-            self._residents[n] += 1
-        self.running[job.job_id] = rj
-        self.queue.remove(job)
-        self._starts[job.job_id] = self.now
-        self._first_start.setdefault(job.job_id, self.now)
+        self._admit(rj)
         if colocated:
             self.colocations += 1
-        self._reprice()
+        self._reprice(rj.nodes)
+
+    def _admit(self, rj: _Running) -> None:
+        """Move a just-started job from the queue onto its nodes."""
+        jid = rj.job.job_id
+        self.running[jid] = rj
+        for n in rj.nodes:
+            residents = self._on_node[n]
+            if not residents:
+                self._occupied += 1
+            residents[jid] = rj
+        self._dequeue(rj.job)
+        self._starts[jid] = self.now
+        self._first_start.setdefault(jid, self.now)
+
+    def _release(self, rj: _Running) -> None:
+        """Take a finished or evicted job off its nodes: rigid nodes still
+        in service go back on the free list, shared co-residents are
+        repriced by the caller."""
+        jid = rj.job.job_id
+        del self.running[jid]
+        for n in rj.nodes:
+            residents = self._on_node[n]
+            del residents[jid]
+            if not residents:
+                self._occupied -= 1
+        if rj.limit is not None:
+            del self.releases[bisect_left(self.releases,
+                                          (rj.guaranteed_release, jid))]
+            for n in rj.nodes:
+                if self._node_state[n] == _UP:
+                    insort(self._free, n)
+        else:
+            self._next_stale = True
 
     def _incarnation_demand(self, job: BatchJob, base: int) -> Fraction:
         """Service this start owes: the full base on a first start; on a
@@ -435,6 +496,25 @@ class BatchDispatcher:
         demand = Fraction(base) - done + cost
         return demand if demand > 0 else Fraction(0)
 
+    # -- the queue and its indexes -----------------------------------------
+
+    def _enqueue(self, job: BatchJob) -> None:
+        self._enqueues += 1
+        self._queued[job.job_id] = self._enqueues
+        self.queue.append(job)
+        self._queue_serials.append(self._enqueues)
+        if self.ranked is not None:
+            insort(self.ranked, self.policy.rank_key(job) + (job,))
+        self.queue_depth_peak = max(self.queue_depth_peak, len(self.queue))
+
+    def _dequeue(self, job: BatchJob) -> None:
+        i = bisect_left(self._queue_serials, self._queued.pop(job.job_id))
+        del self.queue[i]
+        del self._queue_serials[i]
+        if self.ranked is not None:
+            del self.ranked[bisect_left(self.ranked,
+                                        self.policy.rank_key(job))]
+
     # -- engine ------------------------------------------------------------
 
     def dispatch(self) -> BatchResult:
@@ -444,87 +524,148 @@ class BatchDispatcher:
             for idx, ev in enumerate(self.fault_plan.events):
                 self._push(Fraction(ev.at), _EV_FAULT, idx, 0)
         by_id = {job.job_id: job for job in self.jobs}
-        while self._events:
-            when, kind, _seq, job_id, version = heapq.heappop(self._events)
-            if kind == _EV_FINISH:
-                rj = self.running.get(job_id)
-                if rj is None or rj.version != version:
-                    continue  # superseded by a repricing or an eviction
-                self._advance(when)
+        events = self._events
+        while True:
+            rj = self._next_shared_finish()
+            if rj is not None and (not events or rj.finish_at <= events[0][0]):
+                self._advance(rj.finish_at)
                 self._complete(rj)
-            elif kind == _EV_FAULT:
-                self._advance(when)
-                self._apply_fault(self.fault_plan.events[job_id])
+            elif events:
+                when, kind, _seq, job_id, version = heapq.heappop(events)
+                if kind == _EV_FINISH:
+                    rj = self.running.get(job_id)
+                    if rj is None or rj.version != version:
+                        continue  # superseded by an eviction
+                    self._advance(when)
+                    self._complete(rj)
+                elif kind == _EV_FAULT:
+                    self._advance(when)
+                    self._apply_fault(self.fault_plan.events[job_id])
+                else:
+                    self._advance(when)
+                    self._enqueue(by_id[job_id])
             else:
-                self._advance(when)
-                self.queue.append(by_id[job_id])
-                self.queue_depth_peak = max(self.queue_depth_peak,
-                                            len(self.queue))
+                break
             self.policy.schedule(self)
+            if self._sanitize:
+                self._audit()
         # Starvation sweep: with the timeline exhausted, anything still
         # queued can never start (the surviving pool is permanently too
         # small for it).  Unreachable unarmed — the ctor width check plus
-        # walltime kills guarantee an unarmed queue always drains.  Swept
-        # in one pass: the historical pop(0)-per-job loop re-shifted the
-        # whole list each iteration (quadratic in queue depth), which a
-        # large fault-stranded backlog turned into real time.
-        if self.queue:
-            for job in self.queue:
-                self._fail(job, None)
-            self.queue.clear()
+        # walltime kills guarantee an unarmed queue always drains.
+        for job in list(self.queue):
+            self._dequeue(job)
+            self._fail(job, None)
         return self._result()
+
+    def _next_shared_finish(self) -> Optional[_Running]:
+        """The shared job that completes next, or None.
+
+        Shared completions are not heap events: the dispatch loop merges
+        this with the heap top, a finish winning a same-instant tie with a
+        fault or an arrival.  Ties between shared jobs go to the first in
+        ``running`` (start) order, which ``min`` returns.  The scan reruns
+        only after a membership change."""
+        if self._next_stale:
+            self._next_shared = (min(self.running.values(),
+                                     key=attrgetter("finish_at"))
+                                 if self.running and not self.policy.rigid
+                                 else None)
+            self._next_stale = False
+        return self._next_shared
 
     def _push(self, when: Fraction, kind: int, job_id: int,
               version: int) -> None:
         self._seq += 1
         heapq.heappush(self._events, (when, kind, self._seq, job_id, version))
 
-    def _occupied(self) -> int:
-        if self.policy.rigid:
-            return sum(len(rj.nodes) for rj in self.running.values())
-        return sum(1 for r in self._residents if r > 0)
-
     def _advance(self, when: Fraction) -> None:
         dt = when - self.now
         if dt > 0:
-            self._busy_node_time += self._occupied() * dt
+            self._busy_node_time += self._occupied * dt
             if self._armed and (self.running or self.queue):
                 self._node_lost_time += self._lost_nodes() * dt
-            if not self.policy.rigid:
-                for rj in self.running.values():
-                    rj.remaining -= rj.rate * dt
             self.now = when
-        # Exact arithmetic: no work owed can go negative; clamp anyway so a
-        # future inexact runtime model degrades gracefully, not explosively.
-        if not self.policy.rigid:
-            for rj in self.running.values():
-                if rj.remaining < 0:
-                    rj.remaining = Fraction(0)
 
     def _lost_nodes(self) -> int:
         """Out-of-service nodes that are not still finishing a resident
         (a draining node with residents is busy, not lost)."""
-        if self.policy.rigid:
-            held = set()
-            for rj in self.running.values():
-                held.update(rj.nodes)
-            return sum(1 for n in range(self.pool_nodes)
-                       if self._node_state[n] != _UP and n not in held)
         return sum(1 for n in range(self.pool_nodes)
-                   if self._node_state[n] != _UP and self._residents[n] == 0)
+                   if self._node_state[n] != _UP and not self._on_node[n])
 
-    def _reprice(self) -> None:
-        """Recompute every shared job's service rate and predicted finish
-        after a membership change (remaining work was settled by
-        :meth:`_advance` before the change)."""
-        for rj in self.running.values():
-            load = max(self._residents[n] for n in rj.nodes)
-            rj.shared_peak = max(rj.shared_peak, load)
-            rj.rate = Fraction(1, load)
-            self._vclock += 1
-            rj.version = self._vclock
-            self._push(self.now + rj.remaining / rj.rate, _EV_FINISH,
-                       rj.job.job_id, rj.version)
+    def _remaining(self, rj: _Running) -> Fraction:
+        """Work a shared job still owes at ``now``, settled from its
+        predicted finish.  Exact arithmetic never takes it negative; clamp
+        anyway so a future inexact runtime model degrades gracefully."""
+        left = (rj.finish_at - self.now) / rj.load
+        return left if left > 0 else Fraction(0)
+
+    def _reprice(self, nodes) -> None:
+        """Re-time the shared jobs resident on *nodes*, whose membership
+        just changed.  Only a job whose load (worst residency over its
+        nodes) changed gets a new finish_at: an unchanged load means an
+        unchanged rate, so its prediction is already exact."""
+        on_node = self._on_node
+        seen = set()
+        for n in nodes:
+            for jid, rj in on_node[n].items():
+                if jid in seen:
+                    continue
+                seen.add(jid)
+                load = max(len(on_node[m]) for m in rj.nodes)
+                if load != rj.load:
+                    rj.finish_at = self.now + self._remaining(rj) * load
+                    rj.load = load
+                    if load > rj.shared_peak:
+                        rj.shared_peak = load
+        self._next_stale = True
+
+    # -- sanitizer ---------------------------------------------------------
+
+    def _audit(self) -> None:
+        """Check every index against the ground truth it summarizes
+        (``REPRO_SANITIZE=1``); raise :class:`InvariantViolation` on the
+        first disagreement."""
+
+        def fail(rule: str, detail: str) -> None:
+            raise InvariantViolation(rule, detail, time=self.now)
+
+        for n in range(self.pool_nodes):
+            truth = {jid for jid, rj in self.running.items() if n in rj.nodes}
+            if set(self._on_node[n]) != truth:
+                fail("batch-node-residents",
+                     f"node {n} indexes {sorted(self._on_node[n])}, "
+                     f"running jobs on it are {sorted(truth)}")
+        occupied = sum(1 for residents in self._on_node if residents)
+        if self._occupied != occupied:
+            fail("batch-occupancy",
+                 f"counter says {self._occupied} occupied nodes, "
+                 f"residents say {occupied}")
+        if self.policy.rigid:
+            free = [n for n in range(self.pool_nodes)
+                    if self._node_state[n] == _UP and not self._on_node[n]]
+            if self._free != free:
+                fail("batch-free-list",
+                     f"free list {self._free}, unheld up-nodes {free}")
+            releases = sorted((rj.guaranteed_release, jid)
+                              for jid, rj in self.running.items())
+            if self.releases != releases:
+                fail("batch-releases",
+                     f"release index {self.releases} != {releases}")
+        serials = [self._queued.get(job.job_id) for job in self.queue]
+        if (serials != self._queue_serials
+                or len(self._queued) != len(self.queue)
+                or any(a >= b for a, b in zip(serials, serials[1:]))):
+            fail("batch-queue",
+                 f"queue {[job.job_id for job in self.queue]} has serials "
+                 f"{serials}, index holds {self._queue_serials}")
+        if self.ranked is not None:
+            truth = sorted(self.policy.rank_key(job) + (job,)
+                           for job in self.queue)
+            if self.ranked != truth:
+                fail("batch-rank-index",
+                     f"rank index holds {[e[-1].job_id for e in self.ranked]}"
+                     f", queue ranks as {[e[-1].job_id for e in truth]}")
 
     # -- faults ------------------------------------------------------------
 
@@ -553,29 +694,25 @@ class BatchDispatcher:
             if self._node_state[ev.node] == _UP:
                 return  # idempotent: already in service
             self._node_state[ev.node] = _UP
-            if ev.node not in self._free and all(
-                ev.node not in rj.nodes for rj in self.running.values()
-            ):
+            if ev.node not in self._free and not self._on_node[ev.node]:
                 insort(self._free, ev.node)
 
     def _evict_residents(self, node: int, *, preempt: bool) -> None:
-        victims = sorted(
-            (rj for rj in self.running.values() if node in rj.nodes),
-            key=lambda rj: rj.job.job_id,
-        )
+        victims = [rj for _jid, rj in sorted(self._on_node[node].items())]
+        touched = set()
         for rj in victims:
+            touched.update(rj.nodes)
             self._evict(rj, preempt=preempt)
         if victims and not self.policy.rigid:
-            self._reprice()
+            self._reprice(touched)
 
     def _forget_queued_promises(self) -> None:
         """Capacity just changed: reservations promised to still-queued
         jobs were computed against the old pool and must be re-derived by
         the policy, else the tightest-ever audit would hold EASY to a
         shadow the surviving capacity cannot honour."""
-        queued = {job.job_id for job in self.queue}
         for jid in list(self._promises):
-            if jid in queued:
+            if jid in self._queued:
                 del self._promises[jid]
 
     def _evict(self, rj: _Running, *, preempt: bool) -> None:
@@ -589,7 +726,7 @@ class BatchDispatcher:
             if executed > rj.demand:
                 executed = rj.demand
         else:
-            executed = rj.demand - rj.remaining
+            executed = rj.demand - self._remaining(rj)
         overhead = rj.demand - (Fraction(rj.base_runtime)
                                 - self._completed.get(jid, Fraction(0)))
         useful = executed - overhead
@@ -603,15 +740,7 @@ class BatchDispatcher:
         self._held[jid] = (self._held.get(jid, Fraction(0))
                            + wall * len(rj.nodes))
         self._peak[jid] = max(self._peak.get(jid, 1), rj.shared_peak)
-        del self.running[jid]
-        if rj.limit is not None:
-            self._free = sorted(
-                self._free
-                + [n for n in rj.nodes if self._node_state[n] == _UP]
-            )
-        else:
-            for n in rj.nodes:
-                self._residents[n] -= 1
+        self._release(rj)
         self._promises.pop(jid, None)
         self._starts.pop(jid, None)
         if preempt:
@@ -633,8 +762,7 @@ class BatchDispatcher:
         # Requeue at the back: an evicted job re-enters behind jobs that
         # have been waiting (deterministic, and it cannot invalidate a
         # reservation already promised to the queue head).
-        self.queue.append(job)
-        self.queue_depth_peak = max(self.queue_depth_peak, len(self.queue))
+        self._enqueue(job)
 
     def _fail(self, job: BatchJob, rj: Optional[_Running]) -> None:
         """Terminal non-completion: retries exhausted, or (rj=None) the
@@ -679,16 +807,9 @@ class BatchDispatcher:
         killed = rj.limit is not None and rj.demand > rj.limit
         if killed:
             self.kills += 1
-        del self.running[jid]
-        if rj.limit is not None:
-            self._free = sorted(
-                self._free
-                + [n for n in rj.nodes if self._node_state[n] == _UP]
-            )
-        else:
-            for n in rj.nodes:
-                self._residents[n] -= 1
-            self._reprice()
+        self._release(rj)
+        if rj.limit is None:
+            self._reprice(rj.nodes)
         start = self._first_start.get(jid, rj.start)
         finish = self.now
         wait = start - job.submit

@@ -17,9 +17,9 @@ literature contrasts:
     the dispatcher kills jobs at their walltime bound, the guarantee is
     unconditional; the dispatcher audits it on every backfill.
 ``priority``
-    EWT-style priority rules: the queue is re-ranked at every decision
-    point by eldest-wait minus weighted-estimate (old jobs rise, short
-    jobs rise), then served greedily first-fit.  No reservation — the
+    EWT-style priority rules: the queue is ranked by eldest-wait minus
+    weighted-estimate (old jobs rise, short jobs rise) and served greedily
+    first-fit at every decision point.  No reservation — the
     contrast case showing what backfilling's guarantee actually buys.
 ``share``
     Dynamic fractional sharing (Casanova, arXiv:1106.4985): jobs are
@@ -35,7 +35,10 @@ a schedule is a pure function of ``(trace, policy, runtime model)``.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import math
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "BATCH_POLICIES",
@@ -55,6 +58,11 @@ class BatchPolicy:
     name = "?"
     #: Rigid policies allocate dedicated nodes; sharing policies co-locate.
     rigid = True
+    #: Ranking policies define ``rank_key(job)`` and get ``disp.ranked``:
+    #: the queue kept sorted by that key as jobs arrive, requeue and start.
+    #: The key must not depend on time (it is computed once per enqueue)
+    #: and must end in the job id so keys are unique.
+    rank_key: Optional[Callable[[object], Tuple[int, int]]] = None
 
     def params(self) -> Dict[str, object]:
         """Digest-relevant tuning knobs (empty for parameter-free rules)."""
@@ -88,40 +96,32 @@ class EasyPolicy(BatchPolicy):
         # Only *reclaimable* nodes count: a node that failed or started
         # draining under a resident never returns to the pool at release,
         # so banking on it would promise capacity that cannot exist.
-        releases = sorted(
-            (rj.guaranteed_release, disp.reclaimable_nodes(rj),
-             rj.job.job_id)
-            for rj in disp.running.values()
-        )
-        available = disp.free_count
-        shadow = None
-        extra = 0
-        for release_at, n_nodes, _job_id in releases:
-            available += n_nodes
-            if available >= head.n_nodes:
-                shadow = release_at
-                extra = available - head.n_nodes
-                break
+        shadow, extra = self._shadow(disp, head.n_nodes)
+        free_now = disp.free_count
         if shadow is None:
             # The head exceeds every node the surviving pool can ever
             # free (unreachable unarmed: dispatch validates trace width
             # against the full pool).  No reservation is honest, so fill
             # the free nodes greedily rather than idling the machine —
             # the head waits for a node_return or the starvation sweep.
-            free_now = disp.free_count
-            for job in list(disp.queue[1:]):
+            for job in disp.queue[1:]:
+                if free_now == 0:
+                    break
                 if job.n_nodes <= free_now:
                     disp.start_rigid(job, backfilled=True)
                     free_now -= job.n_nodes
             return
         disp.record_reservation(head.job_id, shadow)
         # Backfill pass: anything that fits the free nodes *now* and
-        # provably cannot delay the reservation.
-        free_now = disp.free_count
-        for job in list(disp.queue[1:]):
+        # provably cannot delay the reservation.  Estimates are integers,
+        # so now + estimate <= shadow is estimate <= floor(shadow - now).
+        slack = math.floor(shadow - disp.now)
+        for job in disp.queue[1:]:
+            if free_now == 0:
+                break
             if job.n_nodes > free_now:
                 continue
-            finishes_before_shadow = disp.now + job.estimate <= shadow
+            finishes_before_shadow = job.estimate <= slack
             fits_spare_nodes = job.n_nodes <= extra
             if not (finishes_before_shadow or fits_spare_nodes):
                 continue
@@ -132,13 +132,47 @@ class EasyPolicy(BatchPolicy):
                 # the reservation was not counting on.
                 extra -= job.n_nodes
 
+    @staticmethod
+    def _shadow(disp, need: int):
+        """(shadow time, spare nodes at it) for a head needing *need*
+        nodes, or (None, 0) when the surviving pool never frees enough.
+
+        ``disp.releases`` is ordered by (release, job id); the walk takes
+        jobs releasing at the same instant smallest reclaimable count
+        first, so where it crosses *need* — hence the spare count — is
+        that of an order by (release, reclaimable, job id)."""
+        available = disp.free_count
+        for release_at, tied in groupby(disp.releases, key=itemgetter(0)):
+            counts = sorted(disp.reclaimable_nodes(disp.running[job_id])
+                            for _, job_id in tied)
+            for count in counts:
+                available += count
+                if available >= need:
+                    return release_at, available - need
+        return None, 0
+
 
 class PriorityPolicy(BatchPolicy):
-    """EWT-style priority rules: rank = eldest wait - weighted estimate."""
+    """EWT-style priority rules: rank = eldest wait - weighted estimate.
+
+    The score ``w·(now - submit) - e·estimate`` changes with time, but
+    every queued job shares the same ``now``, so ordering by descending
+    score is ordering by ascending ``w·submit + e·estimate`` (ties on job
+    id): subtracting the common ``w·now`` moves no job past another.  That
+    key is fixed at arrival, so the dispatcher keeps the queue in rank
+    order as jobs arrive, requeue and start instead of re-sorting it at
+    every decision.  Weights must be integers, which keeps the key exact.
+    """
 
     name = "priority"
 
     def __init__(self, wait_weight: int = 1, estimate_weight: int = 1) -> None:
+        for label, weight in (("wait_weight", wait_weight),
+                              ("estimate_weight", estimate_weight)):
+            if isinstance(weight, bool) or not isinstance(weight, int):
+                raise ValueError(
+                    f"priority {label} must be an integer, got {weight!r}"
+                )
         if wait_weight < 0 or estimate_weight < 0:
             raise ValueError("priority weights cannot be negative")
         self.wait_weight = wait_weight
@@ -150,15 +184,16 @@ class PriorityPolicy(BatchPolicy):
             "estimate_weight": self.estimate_weight,
         }
 
-    def schedule(self, disp) -> None:
-        # Exact arithmetic: now is a Fraction, everything else ints, so the
-        # ranking never depends on float rounding.
-        def rank(job):
-            waited = disp.now - job.submit
-            score = self.wait_weight * waited - self.estimate_weight * job.estimate
-            return (-score, job.job_id)
+    def rank_key(self, job) -> Tuple[int, int]:
+        return (self.wait_weight * job.submit
+                + self.estimate_weight * job.estimate, job.job_id)
 
-        for job in sorted(disp.queue, key=rank):
+    def schedule(self, disp) -> None:
+        # First fit in rank order over a snapshot (starts remove jobs from
+        # the index); once no node is free no later job can fit.
+        for _key, _job_id, job in list(disp.ranked):
+            if disp.free_count == 0:
+                break
             if disp.free_count >= job.n_nodes:
                 disp.start_rigid(job)
 

@@ -130,6 +130,44 @@ def test_priority_wait_eventually_wins():
     assert o[1].start == 100  # eldest wait first
 
 
+@pytest.mark.parametrize("weights", [
+    {"wait_weight": 1.5},
+    {"estimate_weight": 0.5},
+    {"wait_weight": 2.0},
+    {"wait_weight": True},
+    {"estimate_weight": False},
+    {"wait_weight": "1"},
+])
+def test_priority_rejects_non_integer_weights(weights):
+    # The rank key w*submit + e*estimate is exact only in integers; a float
+    # (or bool) weight would silently turn it into float arithmetic.
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_policy("priority", **weights)
+    jobs = [job(0, 0, 1, 100)]
+    with pytest.raises(ValueError, match="must be an integer"):
+        run(jobs, 1, "priority", {0: 100}, **weights)
+
+
+def test_priority_rejects_negative_weights():
+    with pytest.raises(ValueError, match="cannot be negative"):
+        make_policy("priority", wait_weight=-1)
+
+
+def test_priority_rank_key_is_time_invariant():
+    # Ordering by the score w*(now - submit) - e*estimate at any instant is
+    # ordering by the fixed key (w*submit + e*estimate, job_id).
+    policy = make_policy("priority", wait_weight=3, estimate_weight=2)
+    jobs = [job(0, 0, 1, 500), job(1, 100, 1, 50), job(2, 400, 1, 10),
+            job(3, 100, 1, 50)]
+    by_key = sorted(jobs, key=policy.rank_key)
+    for now in (400, 1_000, 10**9):
+        by_score = sorted(
+            jobs,
+            key=lambda j: (-(3 * (now - j.submit) - 2 * j.estimate), j.job_id),
+        )
+        assert [j.job_id for j in by_score] == [j.job_id for j in by_key]
+
+
 # ------------------------------------------------------------------ share
 
 def test_share_colocates_and_dilates():

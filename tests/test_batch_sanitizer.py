@@ -1,0 +1,101 @@
+"""The batch dispatcher's index audit under ``REPRO_SANITIZE=1``.
+
+With the sanitizer on, the dispatcher checks after every event that the
+indexes it schedules from agree with the ground truth they summarize: the
+node -> resident map with ``running``, the sorted free list with the
+unheld up-nodes, the release index with the running rigid jobs, and the
+rank index (and the queue's enqueue serials) with the queue.  A clean run
+must be bit-identical to an unsanitized one; a corrupted index must fail
+loudly with :class:`~repro.kernel.invariants.InvariantViolation`.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.batch.dispatcher import BatchDispatcher, simulate_batch
+from repro.batch.policies import make_policy
+from repro.batch.workload import WorkloadConfig, generate_trace
+from repro.faults.plan import FaultPlan
+from repro.kernel.invariants import SANITIZE_ENV_VAR, InvariantViolation
+
+POLICIES = ("fcfs", "easy", "priority", "share")
+
+
+def _trace():
+    return generate_trace(
+        WorkloadConfig(n_jobs=40, interarrival_us=1_500, max_nodes=4), 3
+    )
+
+
+def _plan(trace):
+    horizon = trace[-1].submit
+    return FaultPlan.mtbf(3, horizon=horizon, n_nodes=8,
+                          mtbf_us=horizon // 2, repair_us=horizon // 20)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_sanitized_run_is_bit_identical(policy, monkeypatch):
+    trace = _trace()
+    kw = dict(runtime_model="analytic", fault_plan=_plan(trace),
+              job_retries=8)
+    monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
+    bare = simulate_batch(trace, 8, policy, **kw)
+    monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
+    sanitized = simulate_batch(trace, 8, policy, **kw)
+    assert sanitized == bare
+    assert sanitized.schedule_digest() == bare.schedule_digest()
+
+
+class _Corrupting:
+    """Wrap a policy; after its first decision that leaves a job running,
+    damage one dispatcher index the way a missed update would."""
+
+    def __init__(self, name: str, damage) -> None:
+        self.inner = make_policy(name)
+        self.damage = damage
+        self.done = False
+
+    def __getattr__(self, attr):
+        return getattr(self.inner, attr)
+
+    def schedule(self, disp) -> None:
+        self.inner.schedule(disp)
+        if not self.done and disp.running and disp.queue:
+            self.done = True
+            self.damage(disp)
+
+
+def _forget_resident(disp):
+    rj = next(iter(disp.running.values()))
+    del disp._on_node[rj.nodes[0]][rj.job.job_id]
+
+
+def _leak_free_node(disp):
+    rj = next(iter(disp.running.values()))
+    disp._free.append(rj.nodes[0])
+
+
+def _drop_ranked(disp):
+    disp.ranked.pop()
+
+
+def _drop_release(disp):
+    disp.releases.pop()
+
+
+@pytest.mark.parametrize("policy,damage,rule", [
+    ("fcfs", _forget_resident, "batch-node-residents"),
+    ("share", _forget_resident, "batch-node-residents"),
+    ("easy", _leak_free_node, "batch-free-list"),
+    ("easy", _drop_release, "batch-releases"),
+    ("priority", _drop_ranked, "batch-rank-index"),
+])
+def test_corrupted_index_is_caught(policy, damage, rule, monkeypatch):
+    monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
+    disp = BatchDispatcher(_trace(), 8, _Corrupting(policy, damage),
+                           runtime_model="analytic")
+    with pytest.raises(InvariantViolation) as err:
+        disp.dispatch()
+    assert err.value.rule == rule
+

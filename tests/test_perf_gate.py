@@ -77,9 +77,12 @@ def test_bad_calibration_rejected() -> None:
         simcore.compare(doc(0.0, nas=1.0), base)
 
 
-def test_cli_check_flow(tmp_path: Path) -> None:
-    """End-to-end through the CLI with a stubbed metric subset: writes the
-    JSON document and gates against it."""
+def test_cli_check_flow(tmp_path: Path, monkeypatch, capsys) -> None:
+    """End-to-end through the CLI: the module entry point measures a
+    stubbed metric subset and writes the JSON document; ``--check`` then
+    gates a copy of that recorded document against it.  The second step
+    takes no wall-clock measurement (``collect`` returns the recorded
+    document), so the outcome does not depend on how busy the host is."""
     out = tmp_path / "BENCH_simcore.json"
     repo_root = Path(__file__).resolve().parent.parent
     cmd = [
@@ -96,12 +99,26 @@ def test_cli_check_flow(tmp_path: Path) -> None:
     document = json.loads(out.read_text())
     assert document["schema"] == simcore.SCHEMA
     assert "micro_event_queue" in document["metrics"]
-    gate = subprocess.run(
-        cmd + ["--check", "--baseline", str(out)],
-        cwd=repo_root,
-        env=env,
-        capture_output=True,
-        text=True,
+
+    recorded = json.loads(out.read_text())
+    monkeypatch.setattr(simcore, "collect", lambda only=None: recorded)
+    status = simcore.main(
+        ["--only", "micro_event_queue", "--check", "--baseline", str(out)]
     )
-    assert gate.returncode == 0, gate.stderr
-    assert "perf gate OK" in gate.stdout
+    assert status == 0
+    assert "perf gate OK" in capsys.readouterr().out
+
+
+def test_cli_check_flow_fails_on_regression(tmp_path: Path, monkeypatch,
+                                            capsys) -> None:
+    """The same CLI flow exits 1 and names the metric when the current
+    document is past the tolerance — again without measuring anything."""
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(doc(1000.0, micro_event_queue=100_000.0)))
+    monkeypatch.setattr(
+        simcore, "collect",
+        lambda only=None: doc(1000.0, micro_event_queue=50_000.0),
+    )
+    status = simcore.main(["--check", "--baseline", str(baseline)])
+    assert status == 1
+    assert "micro_event_queue" in capsys.readouterr().err
