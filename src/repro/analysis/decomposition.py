@@ -14,7 +14,7 @@ random numbers) with the cache model neutralized, and attribute
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.memsim.warmth import WarmthParams

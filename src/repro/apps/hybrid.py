@@ -30,11 +30,11 @@ processes" thesis, executed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.kernel.kernel import Kernel
-from repro.kernel.task import SchedPolicy, Task, TaskState
+from repro.kernel.task import Task, TaskState
 from repro.apps.spmd import Phase, PhaseKind, Program
 
 __all__ = ["HybridStats", "HybridApplication"]

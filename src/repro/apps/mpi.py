@@ -20,12 +20,11 @@ Timing is NAS-style: :attr:`AppStats.app_time` spans the release of the
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.kernel.kernel import Kernel
-from repro.kernel.task import SchedPolicy, Task, TaskState
+from repro.kernel.task import Task, TaskState
 from repro.apps.spmd import Phase, PhaseKind, Program
 from repro.faults.tolerance import FaultTolerance
 

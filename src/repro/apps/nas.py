@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.units import SEC, msecs, secs, usecs
+from repro.units import secs, usecs
 from repro.topology.machine import Machine
 from repro.apps.spmd import Program
 

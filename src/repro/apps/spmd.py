@@ -28,10 +28,10 @@ the benchmarks' own clocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.units import msecs, usecs
+from repro.units import msecs
 
 __all__ = ["PhaseKind", "Phase", "Program"]
 

@@ -22,7 +22,7 @@ noise profile via :func:`repro.experiments.runner.run_program`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.units import msecs
 from repro.apps.spmd import Phase, PhaseKind, Program

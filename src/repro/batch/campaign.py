@@ -59,6 +59,34 @@ def _execute_batch_spec(spec) -> Tuple[BatchResult, Optional[Dict]]:
     return result, None
 
 
+def _count_schedule(record, telemetry) -> None:
+    """Feed one schedule's traffic to the ``batch.*`` counters and gauge,
+    plus a ``batch_schedule`` event when a fault plan was armed."""
+    reg = telemetry.registry
+    res = record.result
+    reg.counter("batch.backfills").inc(res.backfills)
+    reg.counter("batch.colocations").inc(res.colocations)
+    reg.counter("batch.kills").inc(res.kills)
+    reg.gauge("batch.queue_depth").set(res.queue_depth_peak)
+    # getattr: cached results from before the fault universe lack the
+    # fields; such results are by definition unarmed.
+    if getattr(res, "fault_plan_digest", None) is not None:
+        reg.counter("batch.requeues").inc(res.requeues)
+        reg.counter("batch.preempts").inc(res.preempts)
+        reg.counter("batch.drains").inc(res.drains)
+        reg.counter("batch.node_lost_s").inc(res.node_lost_us / 1e6)
+        telemetry.batch_schedule(
+            run_index=record.run_index,
+            requeues=res.requeues,
+            preempts=res.preempts,
+            drains=res.drains,
+            node_fails=res.node_fails,
+            failed=res.failed,
+            kills=res.kills,
+            node_lost_s=round(res.node_lost_us / 1e6, 6),
+        )
+
+
 @dataclass
 class BatchCampaignResult:
     """N repetitions of one (policy, regime, pool) batch configuration."""
@@ -217,29 +245,20 @@ def run_batch_campaign(
 ) -> BatchCampaignResult:
     """Run *n_runs* independent batch-schedule repetitions.
 
-    The batch analogue of ``run_campaign`` / ``run_cluster_campaign``,
-    sharing the same execution fabric, so every invariant that holds there
-    holds here: results and provenance byte-identical at any ``--jobs``,
-    cache soundness, journal/resume, auditable holes.  Provenance records
-    use :func:`~repro.obs.provenance.batch_run_record` (``kind: "batch"``);
+    The batch analogue of ``run_campaign`` / ``run_cluster_campaign``, run
+    by the same driver (:func:`repro.parallel.run_specs`), so every
+    invariant that holds there holds here: results and provenance
+    byte-identical at any ``--jobs``, cache soundness, journal/resume,
+    auditable holes.  Provenance records use
+    :func:`~repro.obs.provenance.batch_run_record` (``kind: "batch"``);
     each record additionally bumps the ``batch.backfills`` /
     ``batch.colocations`` / ``batch.kills`` telemetry counters and the
     ``batch.queue_depth`` gauge (whose high-water mark is the deepest queue
     any repetition saw), so the batch layer's scheduling traffic shows up
     in the metrics snapshot next to cache and retry counts.
     """
-    import time as _time
-
-    from repro.obs.provenance import append_record, batch_run_record, campaign_record
-    from repro.parallel.cache import ResultCache
-    from repro.parallel.engine import resolve_jobs
-    from repro.parallel.supervisor import (
-        NoJournalError,
-        SupervisorConfig,
-        campaign_digest,
-        journal_path_for,
-        supervise_campaign,
-    )
+    from repro.obs.provenance import batch_run_record
+    from repro.parallel.engine import run_specs
 
     specs = build_batch_specs(
         policy,
@@ -255,132 +274,34 @@ def run_batch_campaign(
         restart_cost_us=restart_cost_us,
         placement=placement,
     )
-    jobs = resolve_jobs(n_jobs)
-    cache = (
-        ResultCache(
-            cache_dir,
-            metrics=telemetry.registry if telemetry is not None else None,
-        )
-        if use_cache
-        else None
-    )
-    if resume and cache is None:
-        raise NoJournalError(
-            "<caching disabled> — --resume replays finished runs from the "
-            "result cache, so it cannot be combined with --no-cache"
-        )
-    journal_path = (
-        journal_path_for(cache.root, campaign_digest(specs))
-        if cache is not None
-        else None
-    )
-    if resume and resume_missing_ok and journal_path is not None:
-        if not journal_path.is_file():
-            resume = False  # nothing to replay; run this campaign fresh
-    config = supervise or SupervisorConfig()
-    started_at = _time.time()
     bench = label or f"batch-{policy}"
 
-    prov_fh = open(provenance_path, "w", encoding="utf-8") if provenance_path else None
-
-    def on_record(record) -> None:
-        if telemetry is not None:
-            reg = telemetry.registry
-            res = record.result
-            reg.counter("batch.backfills").inc(res.backfills)
-            reg.counter("batch.colocations").inc(res.colocations)
-            reg.counter("batch.kills").inc(res.kills)
-            reg.gauge("batch.queue_depth").set(res.queue_depth_peak)
-            # getattr: cached results from before the fault universe lack
-            # the fields; such results are by definition unarmed.
-            if getattr(res, "fault_plan_digest", None) is not None:
-                reg.counter("batch.requeues").inc(res.requeues)
-                reg.counter("batch.preempts").inc(res.preempts)
-                reg.counter("batch.drains").inc(res.drains)
-                reg.counter("batch.node_lost_s").inc(res.node_lost_us / 1e6)
-                telemetry.batch_schedule(
-                    run_index=record.run_index,
-                    requeues=res.requeues,
-                    preempts=res.preempts,
-                    drains=res.drains,
-                    node_fails=res.node_fails,
-                    failed=res.failed,
-                    kills=res.kills,
-                    node_lost_s=round(res.node_lost_us / 1e6, 6),
-                )
-        if prov_fh is None:
-            return
-        append_record(
-            prov_fh,
-            batch_run_record(
-                record.result,
-                bench=bench,
-                run_index=record.run_index,
-                seed=record.seed,
-            ),
+    def to_record(record) -> Dict[str, object]:
+        return batch_run_record(
+            record.result,
+            bench=bench,
+            run_index=record.run_index,
+            seed=record.seed,
         )
 
-    if telemetry is not None:
-        telemetry.campaign_started(
-            label=bench,
-            regime=regime,
-            n_runs=n_runs,
-            jobs=jobs,
-        )
-    try:
-        supervised = supervise_campaign(
+    return BatchCampaignResult(
+        policy=policy,
+        **run_specs(
             specs,
             _execute_batch_spec,
-            n_jobs=jobs,
-            cache=cache,
-            config=config,
-            progress=progress,
-            on_record=on_record,
-            journal_path=journal_path,
-            resume=resume,
-            telemetry=telemetry,
-        )
-    finally:
-        if prov_fh is not None:
-            prov_fh.close()
-    if telemetry is not None:
-        telemetry.campaign_finished(replayed=supervised.replayed)
-
-    records = supervised.records
-    results = [r.result for r in records]
-    cache_hits = sum(1 for r in records if r.cache_hit)
-    misses = n_runs - cache_hits - len(supervised.holes)
-    if provenance_path:
-        meta = campaign_record(
-            bench=bench,
+            to_record,
+            _count_schedule,
+            label=bench,
             regime=regime,
-            n_runs=n_runs,
             base_seed=base_seed,
-            jobs=jobs,
-            cache_hits=cache_hits,
-            cache_misses=misses,
-            started_at=started_at,
-            finished_at=_time.time(),
-            retries=supervised.retries,
-            timeouts=supervised.timeouts,
-            pool_shrinks=supervised.pool_shrinks,
-            holes=[h.as_dict() for h in supervised.holes],
-            resumed=resume,
-            replayed=supervised.replayed,
-        )
-        with open(provenance_path + ".meta.json", "w", encoding="utf-8") as fh:
-            import json as _json
-
-            _json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return BatchCampaignResult(
-        label=bench,
-        policy=policy,
-        regime=regime,
-        results=results,
-        jobs=jobs,
-        cache_hits=cache_hits,
-        holes=supervised.hole_indices,
-        retries=supervised.retries,
-        replayed=supervised.replayed,
+            provenance_path=provenance_path,
+            n_jobs=n_jobs,
+            use_cache=use_cache,
+            cache_dir=cache_dir,
+            progress=progress,
+            supervise=supervise,
+            resume=resume,
+            resume_missing_ok=resume_missing_ok,
+            telemetry=telemetry,
+        ),
     )

@@ -692,43 +692,67 @@ def _print_supervision(campaign, args: argparse.Namespace) -> None:
         print(f"  resumed: {campaign.replayed} run(s) replayed from the journal")
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_nas_campaign
+def _run_campaign_command(args: argparse.Namespace, launch, header, body) -> int:
+    """The steps every campaign-running command shares.
+
+    Exit 2 before any simulation when --resume lacks the cache or a
+    --provenance/--telemetry path cannot be written; then
+    ``launch(telemetry)`` runs the campaign (exit 2 on a missing journal).
+    The summary is ``header(campaign)``, then ``body(campaign)`` — or a
+    hole line when no repetition completed — then the shared exec,
+    supervision, provenance and telemetry lines."""
     from repro.parallel.supervisor import NoJournalError
 
-    if _unknown_bench(args.bench, args.klass):
-        return 2
     if not _resume_usable(args):
         return 2
-    if args.provenance is not None:
-        reason = _unwritable(args.provenance)
-        if reason is not None:
-            print(f"error: cannot write --provenance {args.provenance}: {reason}",
-                  file=sys.stderr)
-            return 2
-    if args.telemetry is not None:
-        reason = _unwritable(args.telemetry)
-        if reason is not None:
-            print(f"error: cannot write --telemetry {args.telemetry}: {reason}",
-                  file=sys.stderr)
-            return 2
+    for flag in ("provenance", "telemetry"):
+        path = getattr(args, flag, None)
+        if path is not None:
+            reason = _unwritable(path)
+            if reason is not None:
+                print(f"error: cannot write --{flag} {path}: {reason}",
+                      file=sys.stderr)
+                return 2
     telemetry = _make_telemetry(args)
     try:
-        campaign = run_nas_campaign(
-            args.bench, args.klass, args.regime, args.runs, base_seed=args.seed,
-            provenance_path=args.provenance,
-            n_jobs=args.jobs, use_cache=args.use_cache, cache_dir=args.cache_dir,
-            supervise=_supervisor_config(args), resume=args.resume,
-            telemetry=telemetry,
-        )
+        campaign = launch(telemetry)
     except NoJournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if telemetry is not None:
             telemetry.close()
-    print(f"{campaign.label} under {args.regime}, {args.runs} runs:")
+    print(header(campaign))
     if campaign.results:
+        body(campaign)
+    else:
+        print("  (no repetition completed — every run is a hole)")
+    print(f"  exec  {campaign.jobs} worker(s), "
+          f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
+    _print_supervision(campaign, args)
+    if getattr(args, "provenance", None):
+        print(f"  provenance -> {args.provenance} ({campaign.n_runs} records)")
+    if args.telemetry:
+        print(f"  telemetry  -> {args.telemetry}")
+    return 0
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_nas_campaign
+
+    if _unknown_bench(args.bench, args.klass):
+        return 2
+
+    def launch(telemetry):
+        return run_nas_campaign(
+            args.bench, args.klass, args.regime, args.runs, base_seed=args.seed,
+            provenance_path=args.provenance,
+            n_jobs=args.jobs, use_cache=args.use_cache, cache_dir=args.cache_dir,
+            supervise=_supervisor_config(args), resume=args.resume,
+            telemetry=telemetry,
+        )
+
+    def body(campaign) -> None:
         times = summarize(campaign.app_times_s())
         migs = summarize([float(v) for v in campaign.migrations()], metric="count")
         switches = summarize([float(v) for v in campaign.context_switches()], metric="count")
@@ -743,18 +767,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"  ctxsw min {switches.minimum:.0f}  avg {switches.mean:.2f}  "
             f"max {switches.maximum:.0f}"
         )
-    else:
-        print("  (no repetition completed — every run is a hole)")
-    print(
-        f"  exec  {campaign.jobs} worker(s), "
-        f"{campaign.cache_hits}/{campaign.n_runs} runs from cache"
+
+    return _run_campaign_command(
+        args, launch,
+        lambda campaign: f"{campaign.label} under {args.regime}, {args.runs} runs:",
+        body,
     )
-    _print_supervision(campaign, args)
-    if args.provenance:
-        print(f"  provenance -> {args.provenance} ({campaign.n_runs} records)")
-    if args.telemetry:
-        print(f"  telemetry  -> {args.telemetry}")
-    return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -860,19 +878,9 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
 
     if args.runs > 1:
         from repro.parallel.engine import CampaignRunError
-        from repro.parallel.supervisor import NoJournalError
 
-        if not _resume_usable(args):
-            return 2
-        if args.telemetry is not None:
-            reason = _unwritable(args.telemetry)
-            if reason is not None:
-                print(f"error: cannot write --telemetry {args.telemetry}: "
-                      f"{reason}", file=sys.stderr)
-                return 2
-        telemetry = _make_telemetry(args)
-        try:
-            campaign = run_cluster_campaign(
+        def launch(telemetry):
+            return run_cluster_campaign(
                 lambda: program, args.nodes, args.regime, args.runs,
                 base_seed=args.seed,
                 nprocs_per_node=nprocs_per_node,
@@ -883,22 +891,10 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
                 supervise=_supervisor_config(args), resume=args.resume,
                 telemetry=telemetry,
             )
-        except NoJournalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except CampaignRunError as exc:
-            # Expected under --ft-mode abort with a crash planned: the job
-            # fail-stops by design.  Summarize instead of tracebacking.
-            print(f"campaign failed: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            if telemetry is not None:
-                telemetry.close()
+
         n_events = sum(len(p) for p in (plans or {}).values())
-        print(f"{campaign.label} under {args.regime}, {args.runs} runs, "
-              f"{args.nodes} node(s) + {args.spares} spare(s), "
-              f"{n_events} planned fault event(s):")
-        if campaign.results:
+
+        def body(campaign) -> None:
             times = summarize(campaign.app_times_s())
             print(f"  time  min {times.minimum:.2f}  avg {times.mean:.2f}  "
                   f"max {times.maximum:.2f}  var {times.variation:.2f}%")
@@ -906,14 +902,21 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
                   f"detections {campaign.total_detections()}  "
                   f"restarts {campaign.total_restarts()}  "
                   f"failovers {campaign.total_failovers()}")
-        else:
-            print("  (no repetition completed — every run is a hole)")
-        print(f"  exec  {campaign.jobs} worker(s), "
-              f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
-        _print_supervision(campaign, args)
-        if args.telemetry:
-            print(f"  telemetry  -> {args.telemetry}")
-        return 0
+
+        try:
+            return _run_campaign_command(
+                args, launch,
+                lambda campaign: (
+                    f"{campaign.label} under {args.regime}, {args.runs} runs, "
+                    f"{args.nodes} node(s) + {args.spares} spare(s), "
+                    f"{n_events} planned fault event(s):"),
+                body,
+            )
+        except CampaignRunError as exc:
+            # Expected under --ft-mode abort with a crash planned: the job
+            # fail-stops by design.  Summarize instead of tracebacking.
+            print(f"campaign failed: {exc}", file=sys.stderr)
+            return 1
 
     job = ClusterJob(
         program,
@@ -961,7 +964,6 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.units import msecs
     from repro.topology.presets import power6_js22
     from repro.apps.nas import nas_spec
     from repro.experiments.runner import _JOB_START, run_nas_faulted
@@ -1023,22 +1025,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     )
     if args.runs > 1:
         from repro.experiments.runner import run_nas_campaign
-        from repro.parallel.supervisor import NoJournalError
 
         if args.watchdog:
             print("note: --watchdog applies to single runs only; "
                   "ignored with -n > 1", file=sys.stderr)
-        if not _resume_usable(args):
-            return 2
-        if args.telemetry is not None:
-            reason = _unwritable(args.telemetry)
-            if reason is not None:
-                print(f"error: cannot write --telemetry {args.telemetry}: "
-                      f"{reason}", file=sys.stderr)
-                return 2
-        telemetry = _make_telemetry(args)
-        try:
-            campaign = run_nas_campaign(
+
+        def launch(telemetry):
+            return run_nas_campaign(
                 args.bench, args.klass, args.regime, args.runs,
                 base_seed=args.seed,
                 fault_plan=plan, fault_tolerance=tolerance,
@@ -1046,16 +1039,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 supervise=_supervisor_config(args), resume=args.resume,
                 telemetry=telemetry,
             )
-        except NoJournalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            if telemetry is not None:
-                telemetry.close()
-        print(f"{campaign.label} under {args.regime}, {args.runs} runs, "
-              f"fault plan {plan.label!r} "
-              f"({len(plan)} events, digest {plan.digest()}):")
-        if campaign.results:
+
+        def body(campaign) -> None:
             times = summarize(campaign.app_times_s())
             walls = [r.wall_time / 1e6 for r in campaign.results]
             stats = [r.app_stats for r in campaign.results if r.app_stats is not None]
@@ -1066,18 +1051,21 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                   f"max {times.maximum:.2f}  var {times.variation:.2f}%")
             print(f"  wall  min {min(walls):.2f}  avg {sum(walls) / len(walls):.2f}  "
                   f"max {max(walls):.2f}")
-            line = f"  completed {args.runs - aborted}/{args.runs}"
+            # Holes are not completions: count only the runs that came back.
+            line = (f"  completed {len(campaign.results) - aborted}"
+                    f"/{args.runs}")
             if crashes:
                 line += f"  rank crashes {crashes}  restarts {restarts}"
             print(line)
-        else:
-            print("  (no repetition completed — every run is a hole)")
-        print(f"  exec  {campaign.jobs} worker(s), "
-              f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
-        _print_supervision(campaign, args)
-        if args.telemetry:
-            print(f"  telemetry  -> {args.telemetry}")
-        return 0
+
+        return _run_campaign_command(
+            args, launch,
+            lambda campaign: (
+                f"{campaign.label} under {args.regime}, {args.runs} runs, "
+                f"fault plan {plan.label!r} "
+                f"({len(plan)} events, digest {plan.digest()}):"),
+            body,
+        )
     if args.telemetry is not None:
         print("note: --telemetry records campaign execution; "
               "ignored with -n 1", file=sys.stderr)
@@ -1156,7 +1144,6 @@ def _batch_fault_plan(args):
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.batch.campaign import run_batch_campaign
     from repro.batch.workload import WorkloadConfig
-    from repro.parallel.supervisor import NoJournalError
 
     if args.max_nodes > args.pool:
         print(f"error: --max-nodes {args.max_nodes} exceeds --pool "
@@ -1168,16 +1155,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _resume_usable(args):
-        return 2
-    for flag, path in (("--provenance", args.provenance),
-                       ("--telemetry", args.telemetry)):
-        if path is not None:
-            reason = _unwritable(path)
-            if reason is not None:
-                print(f"error: cannot write {flag} {path}: {reason}",
-                      file=sys.stderr)
-                return 2
     workload = WorkloadConfig(
         n_jobs=args.trace_jobs,
         interarrival_us=args.interarrival,
@@ -1186,9 +1163,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     policy_params = (
         {"max_share": args.max_share} if args.policy == "share" else None
     )
-    telemetry = _make_telemetry(args)
-    try:
-        campaign = run_batch_campaign(
+
+    def launch(telemetry):
+        return run_batch_campaign(
             args.policy, args.pool, args.regime, args.runs,
             base_seed=args.seed,
             workload=workload,
@@ -1204,16 +1181,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             supervise=_supervisor_config(args), resume=args.resume,
             telemetry=telemetry,
         )
-    except NoJournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(f"batch {args.policy} on {args.pool} nodes under {args.regime}, "
-          f"{args.runs} trace(s) x {args.trace_jobs} jobs "
-          f"({args.runtime_model} runtimes):")
-    if campaign.results:
+
+    def body(campaign) -> None:
         # waits legitimately bottom out at 0 (a job that starts the instant
         # it is submitted), so use the counter variation semantics
         waits = summarize([w / 1000 for w in campaign.mean_waits_us()],
@@ -1239,16 +1208,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                   f"preempts {campaign.total_preempts()}  "
                   f"failed {campaign.total_failed()}  "
                   f"node-lost {campaign.total_node_lost_us() / 1000:.1f} ms")
-    else:
-        print("  (no repetition completed — every run is a hole)")
-    print(f"  exec  {campaign.jobs} worker(s), "
-          f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
-    _print_supervision(campaign, args)
-    if args.provenance:
-        print(f"  provenance -> {args.provenance} ({campaign.n_runs} records)")
-    if args.telemetry:
-        print(f"  telemetry  -> {args.telemetry}")
-    return 0
+
+    return _run_campaign_command(
+        args, launch,
+        lambda campaign: (
+            f"batch {args.policy} on {args.pool} nodes under {args.regime}, "
+            f"{args.runs} trace(s) x {args.trace_jobs} jobs "
+            f"({args.runtime_model} runtimes):"),
+        body,
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

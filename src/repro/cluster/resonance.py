@@ -21,11 +21,11 @@ amplifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.units import SEC, msecs, secs, to_seconds
+from repro.units import SEC, msecs, secs
 
 __all__ = [
     "DelayProfile",

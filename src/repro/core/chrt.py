@@ -16,7 +16,7 @@ topologies and the examples.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.kernel.task import SchedPolicy, Task
 

@@ -19,7 +19,7 @@ unchanged on every :class:`~repro.topology.machine.Machine` preset.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.kernel.task import Task
 from repro.topology.machine import Machine

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.analysis.stats import summarize
 from repro.analysis.svg import histogram_svg, scatter_svg

@@ -8,8 +8,8 @@ shows.  See DESIGN.md §4 for the figure-by-figure acceptance criteria.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.units import msecs, secs, to_seconds
 from repro.analysis.correlation import CorrelationReport, correlate

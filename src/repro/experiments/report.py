@@ -9,10 +9,9 @@ inline.  The checked-in EXPERIMENTS.md is produced by this module.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.stats import RunStatistics, summarize
+from repro.analysis.stats import summarize
 from repro.experiments.figures import figure1, figure2, figure3, figure4
 from repro.experiments.tables import BENCH_ORDER, CampaignCache, table1, table2  # noqa: F401
 

@@ -11,16 +11,15 @@ uses common random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.units import SEC, msecs, secs
-from repro.sim.engine import Simulator
+from repro.units import msecs, secs
 from repro.topology.machine import Machine
 from repro.topology.presets import power6_js22
-from repro.kernel.daemons import DaemonSet, NoiseProfile, cluster_node_profile, quiet_profile
+from repro.kernel.daemons import DaemonSet, NoiseProfile, cluster_node_profile
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.apps.mpiexec import JobResult, LaunchMode, MpiJob
-from repro.apps.nas import NasSpec, nas_program, nas_spec
+from repro.apps.nas import nas_program, nas_spec
 from repro.apps.spmd import Program
 from repro.faults import (
     AppliedFault,
@@ -188,6 +187,30 @@ def run_program(
     return _run_job(program, nprocs, regime, **kwargs).result
 
 
+def _run_nas_with(
+    run: Callable[..., object],
+    name: str,
+    klass: str,
+    regime: str,
+    machine: Optional[Machine],
+    **kwargs,
+):
+    """Call *run* (a ``run_program*`` entry point) on one NAS benchmark,
+    built for *machine* (default js22) with its cold-start calibration."""
+    if machine is None:
+        machine = power6_js22()
+    spec = nas_spec(name, klass)
+    return run(
+        nas_program(spec, machine),
+        spec.nprocs,
+        regime,
+        machine=machine,
+        cold_speed=spec.cold_speed,
+        rewarm_scale=spec.rewarm_scale,
+        **kwargs,
+    )
+
+
 def run_nas(
     name: str,
     klass: str,
@@ -199,20 +222,9 @@ def run_nas(
     kernel_config: Optional[KernelConfig] = None,
 ) -> JobResult:
     """One execution of a NAS benchmark, e.g. ``run_nas("ep", "A", "hpl")``."""
-    if machine is None:
-        machine = power6_js22()
-    spec = nas_spec(name, klass)
-    program = nas_program(spec, machine)
-    return run_program(
-        program,
-        spec.nprocs,
-        regime,
-        seed=seed,
-        machine=machine,
-        noise=noise,
-        kernel_config=kernel_config,
-        cold_speed=spec.cold_speed,
-        rewarm_scale=spec.rewarm_scale,
+    return _run_nas_with(
+        run_program, name, klass, regime, machine,
+        seed=seed, noise=noise, kernel_config=kernel_config,
     )
 
 
@@ -288,20 +300,9 @@ def run_nas_observed(
     **observer_kwargs,
 ) -> ObservedRun:
     """Observed variant of :func:`run_nas`."""
-    if machine is None:
-        machine = power6_js22()
-    spec = nas_spec(name, klass)
-    program = nas_program(spec, machine)
-    return run_program_observed(
-        program,
-        spec.nprocs,
-        regime,
-        seed=seed,
-        machine=machine,
-        noise=noise,
-        kernel_config=kernel_config,
-        cold_speed=spec.cold_speed,
-        rewarm_scale=spec.rewarm_scale,
+    return _run_nas_with(
+        run_program_observed, name, klass, regime, machine,
+        seed=seed, noise=noise, kernel_config=kernel_config,
         **observer_kwargs,
     )
 
@@ -368,23 +369,11 @@ def run_nas_faulted(
     kernel_config: Optional[KernelConfig] = None,
 ) -> FaultedRun:
     """Faulted variant of :func:`run_nas`."""
-    if machine is None:
-        machine = power6_js22()
-    spec = nas_spec(name, klass)
-    program = nas_program(spec, machine)
-    return run_program_faulted(
-        program,
-        spec.nprocs,
-        regime,
-        seed=seed,
-        fault_plan=fault_plan,
-        fault_tolerance=fault_tolerance,
+    return _run_nas_with(
+        run_program_faulted, name, klass, regime, machine,
+        seed=seed, noise=noise, kernel_config=kernel_config,
+        fault_plan=fault_plan, fault_tolerance=fault_tolerance,
         with_watchdog=with_watchdog,
-        machine=machine,
-        noise=noise,
-        kernel_config=kernel_config,
-        cold_speed=spec.cold_speed,
-        rewarm_scale=spec.rewarm_scale,
     )
 
 
@@ -424,7 +413,7 @@ class CampaignResult:
 def _derive_seed(base_seed: int, run_index: int) -> int:
     # Any injective-enough mixing works; keep it explicit and stable.
     # Pure integer arithmetic — never hash() — so derived seeds are equal
-    # across Python versions, platforms and processes (the parallel engine's
+    # across Python versions, platforms and processes (parallel campaigns'
     # correctness rests on this; see tests/test_derive_seed.py).
     return (base_seed * 1_000_003 + run_index * 7_919 + 17) & 0x7FFFFFFF
 
@@ -432,12 +421,12 @@ def _derive_seed(base_seed: int, run_index: int) -> int:
 def _execute_spec(spec: "RunSpec") -> Tuple[JobResult, Optional[Dict]]:
     """Execute one campaign repetition described by a picklable spec.
 
-    This is the parallel engine's worker: module-level (crosses the process
-    boundary by reference) and a pure function of the spec's content, so a
-    worker-pool run is bit-identical to the serial loop.  Returns the
-    :class:`JobResult` plus the provenance ``faults`` object (None on
-    fault-free runs) — the injector itself cannot cross back, so its
-    account is flattened here.
+    This is the node-run executor for ``run_specs``: module-level (crosses
+    the process boundary by reference) and a pure function of the spec's
+    content, so a worker-pool run is bit-identical to the serial loop.
+    Returns the :class:`JobResult` plus the provenance ``faults`` object
+    (None on fault-free runs) — the injector itself cannot cross back, so
+    its account is flattened here.
     """
     job = _run_job(
         spec.program,
@@ -497,10 +486,14 @@ def build_campaign_specs(
     """
     from repro.parallel.jobspec import RunSpec
 
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     if regime not in KERNEL_VARIANTS:
         raise ValueError(
             f"unknown regime {regime!r}; choose from {sorted(KERNEL_VARIANTS)}"
         )
+    if fault_plan is not None and fault_plan_factory is not None:
+        raise ValueError("pass fault_plan or fault_plan_factory, not both")
     specs: List[RunSpec] = []
     for i in range(n_runs):
         seed = _derive_seed(base_seed, i)
@@ -554,13 +547,6 @@ def run_campaign(
 ) -> CampaignResult:
     """Run *n_runs* independent repetitions.
 
-    With *provenance_path*, one JSONL record per run is streamed to that
-    file as the campaign progresses (schema: :mod:`repro.obs.provenance`),
-    so a partial campaign still leaves an auditable trail; a
-    ``<path>.meta.json`` sidecar records the execution metadata (worker
-    count, cache hits, retries, holes, resume) without perturbing the
-    per-run records.
-
     Faults: *fault_plan* applies the same plan to every repetition;
     *fault_plan_factory* is called as ``factory(run_index, seed)`` for a
     per-repetition plan (e.g. re-seeded random plans).  When a plan is in
@@ -568,56 +554,18 @@ def run_campaign(
     recovery metrics), so faulted and fault-free campaigns remain
     distinguishable in the audit trail forever.
 
-    Parallelism: *n_jobs* fans the repetitions across a process pool
-    (``None`` = ``os.cpu_count()``; ``1`` = the in-process serial loop).
-    Results and provenance are merged in run-index order, so every output
-    is byte-identical whatever *n_jobs* is.  *use_cache* consults the
-    content-addressed result cache (:mod:`repro.parallel.cache`) so
-    unchanged repetitions skip simulation; *progress* is called with
-    ``(completed, total)`` after every repetition.
-
-    Supervision: every campaign runs under the supervised layer
-    (:func:`~repro.parallel.supervisor.supervise_campaign`); *supervise*
-    overrides its configuration (per-run ``timeout_s``, ``retry`` policy,
-    ``allow_partial``).  With the cache enabled, per-run completion is
-    additionally journaled to ``<cache>/journal/<campaign-digest>.jsonl``
-    so a crashed campaign can be *resumed*: journal-confirmed indices
-    replay from the cache and only the remainder executes, byte-identical
-    to an uninterrupted run.  *resume* without a cache raises
-    :class:`~repro.parallel.supervisor.NoJournalError` (there is nothing
-    to replay from); *resume* with no matching journal raises the same
-    unless *resume_missing_ok* — the lenient mode multi-campaign drivers
-    (experiments, sweeps) use so that campaigns the crashed invocation
-    never reached simply start fresh.
-
-    Telemetry: *telemetry* (a
-    :class:`~repro.obs.telemetry.CampaignTelemetry`) receives the
-    campaign's execution events — per-run queue-wait/wall time, retries,
-    timeouts, pool health, cache traffic — as a streaming JSONL sidecar.
-    The caller owns (and closes) the object; this function brackets the
-    feed with ``campaign_started``/``campaign_finished`` and threads the
-    sink through the supervisor and the result cache.  Telemetry never
-    touches results or provenance: both stay bit-identical with it on.
+    Execution goes through :func:`repro.parallel.run_specs`, which
+    documents the shared keywords: *provenance_path* (streamed JSONL plus
+    a ``.meta.json`` sidecar), *n_jobs* (``None`` = all CPUs, ``1`` = the
+    in-process serial loop), *use_cache*/*cache_dir*, *progress*,
+    *supervise* (timeouts, retry, ``allow_partial``),
+    *resume*/*resume_missing_ok* and *telemetry*.  Every output is
+    byte-identical whatever *n_jobs* is, across cache-warm resume, and
+    with telemetry on or off.
     """
-    import time as _time
+    from repro.obs.provenance import run_record
+    from repro.parallel.engine import run_specs
 
-    from repro.obs.provenance import append_record, campaign_record, run_record
-    from repro.parallel.cache import ResultCache
-    from repro.parallel.engine import resolve_jobs
-    from repro.parallel.supervisor import (
-        NoJournalError,
-        SupervisorConfig,
-        campaign_digest,
-        journal_path_for,
-        supervise_campaign,
-    )
-
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    if fault_plan is not None and fault_plan_factory is not None:
-        raise ValueError("pass fault_plan or fault_plan_factory, not both")
-    variant = KERNEL_VARIANTS.get(regime, (regime, ""))[0]
-    booted_config = resolve_kernel_config(variant, kernel_config)
     specs = build_campaign_specs(
         program_factory,
         nprocs,
@@ -633,112 +581,40 @@ def run_campaign(
         fault_plan_factory=fault_plan_factory,
         fault_tolerance=fault_tolerance,
     )
-    jobs = resolve_jobs(n_jobs)
-    cache = (
-        ResultCache(
-            cache_dir,
-            metrics=telemetry.registry if telemetry is not None else None,
-        )
-        if use_cache
-        else None
-    )
-    if resume and cache is None:
-        raise NoJournalError(
-            "<caching disabled> — --resume replays finished runs from the "
-            "result cache, so it cannot be combined with --no-cache"
-        )
-    journal_path = (
-        journal_path_for(cache.root, campaign_digest(specs))
-        if cache is not None
-        else None
-    )
-    if resume and resume_missing_ok and journal_path is not None:
-        if not journal_path.is_file():
-            resume = False  # nothing to replay; run this campaign fresh
-    config = supervise or SupervisorConfig()
-    started_at = _time.time()
+    variant = KERNEL_VARIANTS[regime][0]
+    booted_config = resolve_kernel_config(variant, kernel_config)
+    bench = label or specs[0].program.name
 
-    prov_fh = open(provenance_path, "w", encoding="utf-8") if provenance_path else None
-
-    def on_record(record) -> None:
-        if prov_fh is None:
-            return
-        append_record(
-            prov_fh,
-            run_record(
-                record.result,
-                bench=label or record.result.program_name,
-                regime=regime,
-                run_index=record.run_index,
-                seed=record.seed,
-                variant=variant,
-                config=booted_config,
-                faults=record.faults,
-            ),
-        )
-
-    if telemetry is not None:
-        telemetry.campaign_started(
-            label=label or specs[0].program.name,
+    def to_record(record) -> Dict[str, object]:
+        return run_record(
+            record.result,
+            bench=bench,
             regime=regime,
-            n_runs=n_runs,
-            jobs=jobs,
+            run_index=record.run_index,
+            seed=record.seed,
+            variant=variant,
+            config=booted_config,
+            faults=record.faults,
         )
-    try:
-        supervised = supervise_campaign(
+
+    return CampaignResult(
+        **run_specs(
             specs,
             _execute_spec,
-            n_jobs=jobs,
-            cache=cache,
-            config=config,
+            to_record,
+            label=bench,
+            regime=regime,
+            base_seed=base_seed,
+            provenance_path=provenance_path,
+            n_jobs=n_jobs,
+            use_cache=use_cache,
+            cache_dir=cache_dir,
             progress=progress,
-            on_record=on_record,
-            journal_path=journal_path,
+            supervise=supervise,
             resume=resume,
+            resume_missing_ok=resume_missing_ok,
             telemetry=telemetry,
         )
-    finally:
-        if prov_fh is not None:
-            prov_fh.close()
-    if telemetry is not None:
-        telemetry.campaign_finished(replayed=supervised.replayed)
-
-    records = supervised.records
-    results = [r.result for r in records]
-    cache_hits = sum(1 for r in records if r.cache_hit)
-    misses = n_runs - cache_hits - len(supervised.holes)
-    if provenance_path:
-        meta = campaign_record(
-            bench=label or (results[0].program_name if results else ""),
-            regime=regime,
-            n_runs=n_runs,
-            base_seed=base_seed,
-            jobs=jobs,
-            cache_hits=cache_hits,
-            cache_misses=misses,
-            started_at=started_at,
-            finished_at=_time.time(),
-            retries=supervised.retries,
-            timeouts=supervised.timeouts,
-            pool_shrinks=supervised.pool_shrinks,
-            holes=[h.as_dict() for h in supervised.holes],
-            resumed=resume,
-            replayed=supervised.replayed,
-        )
-        with open(provenance_path + ".meta.json", "w", encoding="utf-8") as fh:
-            import json as _json
-
-            _json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return CampaignResult(
-        label=label or (results[0].program_name if results else ""),
-        regime=regime,
-        results=results,
-        jobs=jobs,
-        cache_hits=cache_hits,
-        holes=supervised.hole_indices,
-        retries=supervised.retries,
-        replayed=supervised.replayed,
     )
 
 
@@ -862,6 +738,15 @@ def _execute_cluster_spec(spec: "ClusterRunSpec") -> Tuple["ClusterResult", Opti
     return result, faults
 
 
+def _count_recovery(record, telemetry) -> None:
+    """Bump the ``cluster.*`` recovery counters for one faulted repetition."""
+    if record.faults:
+        reg = telemetry.registry
+        reg.counter("cluster.detections").inc(record.faults["detections"])
+        reg.counter("cluster.restarts").inc(record.faults["restarts"])
+        reg.counter("cluster.failovers").inc(record.faults["failovers"])
+
+
 @dataclass
 class ClusterCampaignResult:
     """N repetitions of one multi-node configuration."""
@@ -921,6 +806,8 @@ def build_cluster_specs(
     """
     from repro.parallel.jobspec import ClusterRunSpec
 
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     if regime not in CLUSTER_REGIMES:
         raise ValueError(
             f"unknown cluster regime {regime!r}; choose from {CLUSTER_REGIMES}"
@@ -994,8 +881,8 @@ def run_cluster_campaign(
 ) -> ClusterCampaignResult:
     """Run *n_runs* independent multi-node repetitions.
 
-    The cluster analogue of :func:`run_campaign`, sharing the same
-    execution fabric — the supervised parallel engine, the content-
+    The cluster analogue of :func:`run_campaign`, run by the same driver
+    (:func:`repro.parallel.run_specs`) — supervised execution, the content-
     addressed result cache, journal/resume, streaming telemetry — so every
     invariant that holds for single-node campaigns (bit-identical results
     at any ``--jobs``, cache soundness, auditable holes) holds here too.
@@ -1005,25 +892,9 @@ def run_cluster_campaign(
     telemetry counters, so a resilience campaign's recovery traffic shows
     up in the metrics snapshot next to cache and retry counts.
     """
-    import time as _time
+    from repro.obs.provenance import cluster_run_record
+    from repro.parallel.engine import run_specs
 
-    from repro.obs.provenance import (
-        append_record,
-        campaign_record,
-        cluster_run_record,
-    )
-    from repro.parallel.cache import ResultCache
-    from repro.parallel.engine import resolve_jobs
-    from repro.parallel.supervisor import (
-        NoJournalError,
-        SupervisorConfig,
-        campaign_digest,
-        journal_path_for,
-        supervise_campaign,
-    )
-
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
     specs = build_cluster_specs(
         program_factory,
         n_nodes,
@@ -1040,114 +911,35 @@ def run_cluster_campaign(
         tolerance=tolerance,
         spare_nodes=spare_nodes,
     )
-    jobs = resolve_jobs(n_jobs)
-    cache = (
-        ResultCache(
-            cache_dir,
-            metrics=telemetry.registry if telemetry is not None else None,
-        )
-        if use_cache
-        else None
-    )
-    if resume and cache is None:
-        raise NoJournalError(
-            "<caching disabled> — --resume replays finished runs from the "
-            "result cache, so it cannot be combined with --no-cache"
-        )
-    journal_path = (
-        journal_path_for(cache.root, campaign_digest(specs))
-        if cache is not None
-        else None
-    )
-    if resume and resume_missing_ok and journal_path is not None:
-        if not journal_path.is_file():
-            resume = False  # nothing to replay; run this campaign fresh
-    config = supervise or SupervisorConfig()
-    started_at = _time.time()
     bench = label or specs[0].program.name
 
-    prov_fh = open(provenance_path, "w", encoding="utf-8") if provenance_path else None
-
-    def on_record(record) -> None:
-        if record.faults and telemetry is not None:
-            reg = telemetry.registry
-            reg.counter("cluster.detections").inc(record.faults["detections"])
-            reg.counter("cluster.restarts").inc(record.faults["restarts"])
-            reg.counter("cluster.failovers").inc(record.faults["failovers"])
-        if prov_fh is None:
-            return
-        append_record(
-            prov_fh,
-            cluster_run_record(
-                record.result,
-                bench=bench,
-                regime=regime,
-                run_index=record.run_index,
-                seed=record.seed,
-                faults=record.faults,
-            ),
-        )
-
-    if telemetry is not None:
-        telemetry.campaign_started(
-            label=label or specs[0].program.name,
+    def to_record(record) -> Dict[str, object]:
+        return cluster_run_record(
+            record.result,
+            bench=bench,
             regime=regime,
-            n_runs=n_runs,
-            jobs=jobs,
+            run_index=record.run_index,
+            seed=record.seed,
+            faults=record.faults,
         )
-    try:
-        supervised = supervise_campaign(
+
+    return ClusterCampaignResult(
+        **run_specs(
             specs,
             _execute_cluster_spec,
-            n_jobs=jobs,
-            cache=cache,
-            config=config,
+            to_record,
+            _count_recovery,
+            label=bench,
+            regime=regime,
+            base_seed=base_seed,
+            provenance_path=provenance_path,
+            n_jobs=n_jobs,
+            use_cache=use_cache,
+            cache_dir=cache_dir,
             progress=progress,
-            on_record=on_record,
-            journal_path=journal_path,
+            supervise=supervise,
             resume=resume,
+            resume_missing_ok=resume_missing_ok,
             telemetry=telemetry,
         )
-    finally:
-        if prov_fh is not None:
-            prov_fh.close()
-    if telemetry is not None:
-        telemetry.campaign_finished(replayed=supervised.replayed)
-
-    records = supervised.records
-    results = [r.result for r in records]
-    cache_hits = sum(1 for r in records if r.cache_hit)
-    misses = n_runs - cache_hits - len(supervised.holes)
-    if provenance_path:
-        meta = campaign_record(
-            bench=label or specs[0].program.name,
-            regime=regime,
-            n_runs=n_runs,
-            base_seed=base_seed,
-            jobs=jobs,
-            cache_hits=cache_hits,
-            cache_misses=misses,
-            started_at=started_at,
-            finished_at=_time.time(),
-            retries=supervised.retries,
-            timeouts=supervised.timeouts,
-            pool_shrinks=supervised.pool_shrinks,
-            holes=[h.as_dict() for h in supervised.holes],
-            resumed=resume,
-            replayed=supervised.replayed,
-        )
-        with open(provenance_path + ".meta.json", "w", encoding="utf-8") as fh:
-            import json as _json
-
-            _json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return ClusterCampaignResult(
-        label=label or specs[0].program.name,
-        regime=regime,
-        results=results,
-        jobs=jobs,
-        cache_hits=cache_hits,
-        holes=supervised.hole_indices,
-        retries=supervised.retries,
-        replayed=supervised.replayed,
     )

@@ -17,13 +17,13 @@ Each returns a list of :class:`SweepPoint` and renders as a text table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import TextTable
 from repro.apps.nas import nas_program, nas_spec
-from repro.apps.spmd import Phase, PhaseKind, Program
-from repro.kernel.daemons import DaemonSpec, NoiseProfile, StormSpec, cluster_node_profile
+from repro.apps.spmd import PhaseKind, Program
+from repro.kernel.daemons import NoiseProfile, cluster_node_profile
 from repro.topology.cache import power6_cache_hierarchy
 from repro.topology.machine import Machine
 from repro.topology.presets import power6_js22

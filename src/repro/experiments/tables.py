@@ -8,12 +8,11 @@ and the module offers a :class:`CampaignCache` for the benchmark harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.stats import RunStatistics, summarize
 from repro.analysis.tables import TextTable
-from repro.apps.nas import NAS_BENCHMARKS
 from repro.experiments.runner import CampaignResult, run_nas_campaign
 
 __all__ = [

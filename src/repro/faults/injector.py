@@ -14,11 +14,10 @@ the scheduling activity they caused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.kernel.kernel import Kernel
-from repro.kernel.task import SchedPolicy
 
 __all__ = ["AppliedFault", "FaultInjector"]
 

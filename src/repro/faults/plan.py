@@ -19,7 +19,7 @@ provenance layer so a recorded run names the exact faults it suffered.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.task import SchedPolicy

@@ -25,7 +25,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.units import msecs, usecs
+from repro.units import msecs
 from repro.kernel.sched_class import ClassQueue, SchedClass
 from repro.kernel.task import NICE_0_WEIGHT, SchedPolicy, Task
 

@@ -20,8 +20,8 @@ paper's entire point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.units import msecs, secs
 from repro.kernel.kernel import Kernel

@@ -36,7 +36,7 @@ results are bit-identical to a bare run of the same seed.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.kernel.task import Task, TaskState
 

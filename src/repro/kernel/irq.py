@@ -27,7 +27,7 @@ campaigns — mirroring how the paper isolates the two noise sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.units import SEC
 from repro.kernel.kernel import Kernel

@@ -15,7 +15,7 @@ without touching the workload — the A/B discipline of §V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.memsim.warmth import WarmthModel, WarmthParams

@@ -21,7 +21,6 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
 
 from repro.units import SEC
 from repro.kernel.kernel import Kernel

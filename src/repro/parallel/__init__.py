@@ -2,21 +2,22 @@
 
 The paper's unit of measurement is 1000 repetitions per configuration; each
 repetition's RNG streams derive from ``_derive_seed(base_seed, run_index)``
-alone, so repetitions are embarrassingly parallel.  This package fans them
-across a process pool (:mod:`repro.parallel.engine`), describes each one as
-a picklable content-addressed spec (:mod:`repro.parallel.jobspec`), and
-caches finished runs on disk (:mod:`repro.parallel.cache`) so unchanged
-campaigns re-run without simulating.
+alone, so repetitions are embarrassingly parallel.  This package describes
+each one as a picklable content-addressed spec
+(:mod:`repro.parallel.jobspec`), caches finished runs on disk
+(:mod:`repro.parallel.cache`), and runs every campaign — node, cluster or
+batch — through one driver, :func:`run_specs` (:mod:`repro.parallel.engine`),
+so all three kinds share one cache, journal, resume and provenance contract.
+
+Execution is supervised (:mod:`repro.parallel.supervisor`): run-index-order
+merging across a process pool, per-run wall-clock timeouts, classified
+retry with seeded exponential backoff, graceful pool degradation, partial
+salvage with explicit holes, and crash-safe journal/resume — the harness
+fault tolerance the 1000-repetition campaigns need to be trustworthy.
 
 The determinism contract — parallel results byte-identical to serial — is
 enforced by ``tests/test_parallel_engine.py`` and by the CI determinism
 gate, not merely promised here.
-
-On top of the raw engine sits the supervised layer
-(:mod:`repro.parallel.supervisor`): per-run wall-clock timeouts, classified
-retry with seeded exponential backoff, graceful pool degradation, partial
-salvage with explicit holes, and crash-safe journal/resume — the harness
-fault tolerance the 1000-repetition campaigns need to be trustworthy.
 """
 
 from repro.parallel.cache import (
@@ -30,8 +31,8 @@ from repro.parallel.engine import (
     CampaignRunError,
     RunRecord,
     WorkerPoolError,
-    execute_campaign,
     resolve_jobs,
+    run_specs,
 )
 from repro.parallel.jobspec import (
     BatchRunSpec,
@@ -81,10 +82,10 @@ __all__ = [
     "backoff_schedule",
     "campaign_digest",
     "classify_failure",
-    "execute_campaign",
     "journal_path_for",
     "machine_fingerprint",
     "resolve_jobs",
+    "run_specs",
     "stable_digest",
     "supervise_campaign",
 ]

@@ -1,37 +1,35 @@
-"""Process-pool campaign execution: deterministic seed fan-out.
+"""The campaign driver and the records, errors and knobs it shares.
 
-The engine takes the campaign's repetitions as a list of picklable
-:class:`~repro.parallel.jobspec.RunSpec` and a module-level *worker*
-function, and executes them across ``n_jobs`` processes.  The contract:
+Every campaign — node runs, cluster runs, batch schedules — is a list of
+picklable specs (:mod:`repro.parallel.jobspec`), a module-level executor
+that maps one spec to ``(result, faults-dict-or-None)``, and a function
+that turns one finished repetition into its provenance record.
+:func:`run_specs` is the one driver that runs such a campaign.  It owns
+the rules every kind shares, written once:
 
-* **Ordering.**  Results are merged and emitted strictly in run-index
-  order, whatever order workers finish in — so campaign outputs and the
-  provenance JSONL are byte-identical to a serial run (each repetition's
-  RNG streams derive from its own seed; nothing leaks between runs).
-* **Legacy path.**  ``n_jobs=1`` never touches ``multiprocessing``: it is
-  the plain in-process loop the serial runner always was.
-* **Chunked dispatch.**  At most ``chunk_factor × n_jobs`` repetitions are
-  in flight, so a 1000-run campaign neither floods the executor queue nor
-  holds every pickled result alive at once.
-* **Crash surfacing.**  A repetition that raises is re-raised as
-  :class:`CampaignRunError` naming the run index, seed and config digest —
-  enough to replay it serially.  A worker process that *dies* (segfault,
-  OOM-kill) surfaces as :class:`WorkerPoolError` listing every in-flight
-  repetition instead of a bare ``BrokenProcessPool``.
-* **Caching.**  With a :class:`~repro.parallel.cache.ResultCache`, each
-  spec's digest is looked up first; hits skip simulation entirely and
-  misses are stored on completion, so a warm re-run executes zero
-  simulations.
+* the worker count (:func:`resolve_jobs`) and the result cache;
+* the crash-safe journal and ``--resume`` (resume needs the cache; a
+  missing journal is an error unless ``resume_missing_ok``);
+* provenance streamed in run-index order, plus the ``.meta.json``
+  sidecar with the execution metadata;
+* the ``campaign_started``/``campaign_finished`` telemetry bracket.
+
+Execution itself — ordering, timeouts, retry, pool health, journal lines —
+is :func:`repro.parallel.supervisor.supervise_campaign`'s, and a
+repetition that finally fails surfaces as :class:`CampaignRunError`
+naming the run index, seed and spec digest (enough to replay it
+serially); a worker pool that breaks for good surfaces as
+:class:`WorkerPoolError` listing every in-flight repetition.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.parallel.cache import ResultCache
 from repro.parallel.jobspec import RunSpec
 
 __all__ = [
@@ -39,7 +37,7 @@ __all__ = [
     "CampaignRunError",
     "WorkerPoolError",
     "resolve_jobs",
-    "execute_campaign",
+    "run_specs",
 ]
 
 #: A worker maps one spec to ``(result, faults-dict-or-None)``.
@@ -138,154 +136,149 @@ def resolve_jobs(n_jobs: Optional[int]) -> int:
     return n_jobs
 
 
-def _emit_ready(
-    pending: Dict[int, RunRecord],
-    next_index: List[int],
-    ordered: List[RunRecord],
-    on_record: Optional[Callable[[RunRecord], None]],
-) -> None:
-    """Flush the contiguous prefix of *pending* in run-index order."""
-    while next_index[0] in pending:
-        record = pending.pop(next_index[0])
-        ordered.append(record)
-        if on_record is not None:
-            on_record(record)
-        next_index[0] += 1
-
-
-def execute_campaign(
+def run_specs(
     specs: Sequence[RunSpec],
-    worker: Worker,
+    execute: Worker,
+    to_record: Callable[[RunRecord], Dict[str, object]],
+    on_result: Optional[Callable[[RunRecord, object], None]] = None,
     *,
+    label: str,
+    regime: str,
+    base_seed: int = 0,
+    provenance_path: Optional[str] = None,
     n_jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
+    use_cache: bool = False,
+    cache_dir: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
-    on_record: Optional[Callable[[RunRecord], None]] = None,
-    chunk_factor: int = 4,
-) -> List[RunRecord]:
-    """Execute every spec; return records ordered by run index.
+    supervise=None,
+    resume: bool = False,
+    resume_missing_ok: bool = False,
+    telemetry=None,
+) -> Dict[str, object]:
+    """Run one campaign of *specs* under supervision.
 
-    *worker* must be a module-level function (it crosses the process
-    boundary by reference).  *on_record* fires in run-index order as soon
-    as each record's predecessors are all complete — this is where the
-    campaign runner streams provenance, preserving the serial runner's
-    partial-campaign audit trail.  *progress* fires on every completion
-    (any order) with monotonically increasing ``completed``.
+    *execute* is the kind's module-level executor (it crosses the process
+    boundary by reference).  *to_record* builds one repetition's provenance
+    record; records are streamed to *provenance_path* in run-index order,
+    so a partial campaign still leaves an auditable trail, and a
+    ``<path>.meta.json`` sidecar records how the campaign was executed
+    (worker count, cache hits, retries, holes, resume).  *on_result*, when
+    given, is called as ``on_result(record, telemetry)`` for every record
+    of a campaign with a *telemetry* sink, before its provenance line — the
+    hook a kind uses for its own counters.
+
+    With *use_cache*, finished runs are looked up in and stored to the
+    content-addressed result cache, and completion is journaled to
+    ``<cache>/journal/<campaign-digest>.jsonl`` so a crashed campaign can
+    be *resumed*: journal-confirmed indices replay from the cache and only
+    the remainder executes, byte-identical to an uninterrupted run.
+    *resume* without the cache raises
+    :class:`~repro.parallel.supervisor.NoJournalError`, and so does
+    *resume* with no matching journal unless *resume_missing_ok* (the
+    lenient mode multi-campaign drivers use, so campaigns a crashed
+    invocation never reached simply start fresh).
+
+    *label* is the campaign's ``bench`` name in telemetry and the sidecar.
+    Returns the keyword arguments every ``*CampaignResult`` type shares:
+    ``label``, ``regime``, ``results`` (holes omitted), ``jobs``,
+    ``cache_hits``, ``holes``, ``retries`` and ``replayed``.
     """
-    n_jobs = resolve_jobs(n_jobs)
-    if chunk_factor < 1:
-        raise ValueError("chunk_factor must be >= 1")
-    total = len(specs)
-    ordered: List[RunRecord] = []
-    pending: Dict[int, RunRecord] = {}
-    next_index = [specs[0].run_index if specs else 0]
-    completed = 0
+    from repro.obs import provenance
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.supervisor import (
+        NoJournalError,
+        campaign_digest,
+        journal_path_for,
+        supervise_campaign,
+    )
 
-    def finish(record: RunRecord) -> None:
-        nonlocal completed
-        completed += 1
-        if cache is not None and not record.cache_hit:
-            cache.put(record.digest, record.result, record.faults)
-        pending[record.run_index] = record
-        _emit_ready(pending, next_index, ordered, on_record)
-        if progress is not None:
-            progress(completed, total)
+    if not specs:
+        raise ValueError("n_runs must be >= 1")
+    n_runs = len(specs)
+    jobs = resolve_jobs(n_jobs)
+    cache = (
+        ResultCache(
+            cache_dir,
+            metrics=telemetry.registry if telemetry is not None else None,
+        )
+        if use_cache
+        else None
+    )
+    digest = journal_path = None
+    if cache is not None:
+        digest = campaign_digest(specs)
+        journal_path = journal_path_for(cache.root, digest)
+        if resume and resume_missing_ok and not journal_path.is_file():
+            resume = False  # nothing to replay; run this campaign fresh
+    elif resume:
+        raise NoJournalError(
+            "<caching disabled> — --resume replays finished runs from the "
+            "result cache, so it cannot be combined with --no-cache"
+        )
+    started_at = time.time()
 
-    # Cache pass: every hit is settled up front, misses remain to execute.
-    to_run: List[Tuple[RunSpec, str]] = []
-    settled: List[RunRecord] = []
-    for spec in specs:
-        digest = spec.digest() if cache is not None else ""
-        if cache is not None:
-            found = cache.get(digest)
-            if found is not None:
-                result, faults = found
-                settled.append(
-                    RunRecord(
-                        run_index=spec.run_index,
-                        seed=spec.seed,
-                        digest=digest,
-                        result=result,
-                        faults=faults,
-                        cache_hit=True,
-                    )
-                )
-                continue
-        to_run.append((spec, digest))
+    prov_fh = open(provenance_path, "w", encoding="utf-8") if provenance_path else None
 
-    if n_jobs == 1 or len(to_run) <= 1:
-        # Exact legacy serial path: one loop, in submission order, no pool.
-        # Hits/misses interleave in run-index order so streaming still works.
-        by_index = {spec.run_index: (spec, digest) for spec, digest in to_run}
-        hits = {r.run_index: r for r in settled}
-        for spec in specs:
-            if spec.run_index in hits:
-                finish(hits[spec.run_index])
-                continue
-            spec, digest = by_index[spec.run_index]
-            try:
-                result, faults = worker(spec)
-            except Exception as exc:
-                raise CampaignRunError(
-                    spec.run_index, spec.seed, digest or spec.digest(), exc
-                ) from exc
-            finish(
-                RunRecord(
-                    run_index=spec.run_index,
-                    seed=spec.seed,
-                    digest=digest,
-                    result=result,
-                    faults=faults,
-                )
-            )
-        return ordered
+    def on_record(record: RunRecord) -> None:
+        if on_result is not None and telemetry is not None:
+            on_result(record, telemetry)
+        if prov_fh is not None:
+            provenance.append_record(prov_fh, to_record(record))
 
-    for record in settled:
-        finish(record)
+    if telemetry is not None:
+        telemetry.campaign_started(
+            label=label, regime=regime, n_runs=n_runs, jobs=jobs
+        )
+    try:
+        supervised = supervise_campaign(
+            specs,
+            execute,
+            n_jobs=jobs,
+            cache=cache,
+            config=supervise,
+            progress=progress,
+            on_record=on_record,
+            journal_path=journal_path,
+            digest=digest,
+            resume=resume,
+            telemetry=telemetry,
+        )
+    finally:
+        if prov_fh is not None:
+            prov_fh.close()
+    if telemetry is not None:
+        telemetry.campaign_finished(replayed=supervised.replayed)
 
-    window = chunk_factor * n_jobs
-    queue = list(to_run)
-    submitted = 0
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(queue))) as pool:
-        futures: Dict[object, Tuple[RunSpec, str]] = {}
-
-        def submit_next() -> None:
-            nonlocal submitted
-            while submitted < len(queue) and len(futures) < window:
-                spec, digest = queue[submitted]
-                futures[pool.submit(worker, spec)] = (spec, digest)
-                submitted += 1
-
-        submit_next()
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                spec, digest = futures.pop(future)
-                try:
-                    result, faults = future.result()
-                except Exception as exc:
-                    if type(exc).__name__ == "BrokenProcessPool":
-                        in_flight = [s for s, _ in futures.values()] + [spec]
-                        in_flight.sort(key=lambda s: s.run_index)
-                        procs = list(getattr(pool, "_processes", {}).values())
-                        raise WorkerPoolError(
-                            in_flight,
-                            exc,
-                            pool_size=getattr(pool, "_max_workers", None),
-                            survivors=sum(1 for p in procs if p.is_alive()),
-                        ) from exc
-                    raise CampaignRunError(
-                        spec.run_index, spec.seed, digest or spec.digest(), exc
-                    ) from exc
-                finish(
-                    RunRecord(
-                        run_index=spec.run_index,
-                        seed=spec.seed,
-                        digest=digest,
-                        result=result,
-                        faults=faults,
-                    )
-                )
-            submit_next()
-
-    return ordered
+    records = supervised.records
+    cache_hits = sum(1 for r in records if r.cache_hit)
+    if provenance_path:
+        meta = provenance.campaign_record(
+            bench=label,
+            regime=regime,
+            n_runs=n_runs,
+            base_seed=base_seed,
+            jobs=jobs,
+            cache_hits=cache_hits,
+            cache_misses=n_runs - cache_hits - len(supervised.holes),
+            started_at=started_at,
+            finished_at=time.time(),
+            retries=supervised.retries,
+            timeouts=supervised.timeouts,
+            pool_shrinks=supervised.pool_shrinks,
+            holes=[h.as_dict() for h in supervised.holes],
+            resumed=resume,
+            replayed=supervised.replayed,
+        )
+        with open(provenance_path + ".meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return dict(
+        label=label,
+        regime=regime,
+        results=[r.result for r in records],
+        jobs=jobs,
+        cache_hits=cache_hits,
+        holes=supervised.hole_indices,
+        retries=supervised.retries,
+        replayed=supervised.replayed,
+    )

@@ -1,10 +1,9 @@
 """Supervised campaign execution: timeouts, seeded retry, crash-safe resume.
 
-The parallel engine (:mod:`repro.parallel.engine`) is fast but brittle by
-design: one hung run, one dead worker, or a SIGKILL'd parent loses the whole
-campaign.  This module wraps the same dispatch contract in a supervisor that
-treats the *execution harness* as a system to be made fault-tolerant in its
-own right:
+Every campaign executes here, behind :func:`repro.parallel.run_specs`.
+Without supervision one hung run, one dead worker, or a SIGKILL'd parent
+would lose the whole campaign, so the supervisor treats the *execution
+harness* as a system to be made fault-tolerant in its own right:
 
 * **Per-run timeouts.**  Each repetition gets a wall-clock budget.  In a
   worker process the budget is enforced by a POSIX interval timer armed
@@ -38,9 +37,12 @@ own right:
   way, the resumed campaign's results and provenance are byte-identical to
   an uninterrupted run.
 
-The supervisor preserves the engine's ordering contract exactly: records
-(and therefore provenance JSONL) are emitted strictly in run-index order,
-byte-identical to a serial run at any worker count.
+* **Ordering.**  Whatever order workers finish in, records (and therefore
+  provenance JSONL) are emitted strictly in run-index order, so outputs
+  are byte-identical to a serial run at any worker count; ``n_jobs=1``
+  never touches ``multiprocessing``.  At most ``chunk_factor × n_jobs``
+  repetitions are in flight, so a 1000-run campaign neither floods the
+  executor queue nor holds every pickled result alive at once.
 """
 
 from __future__ import annotations
@@ -965,6 +967,7 @@ def supervise_campaign(
     progress: Optional[ProgressFn] = None,
     on_record: Optional[Callable[[RunRecord], None]] = None,
     journal_path=None,
+    digest: Optional[str] = None,
     resume: bool = False,
     chunk_factor: int = 4,
     sleep: Callable[[float], None] = time.sleep,
@@ -972,12 +975,16 @@ def supervise_campaign(
 ) -> SupervisedResult:
     """Execute every spec under supervision; records ordered by run index.
 
-    Same contract as :func:`repro.parallel.engine.execute_campaign` — same
-    worker signature, same strict run-index-order ``on_record`` streaming,
-    byte-identical outputs at any ``n_jobs`` — plus the supervision layer:
-    per-run timeouts (``config.timeout_s``), classified seeded retry
-    (``config.retry``), graceful pool degradation, partial salvage
-    (``config.allow_partial``) and crash-safe journaling (*journal_path*).
+    *worker* maps one spec to ``(result, faults-dict-or-None)`` and must be
+    module-level (it crosses the process boundary by reference).
+    *on_record* fires in strict run-index order as soon as each record's
+    predecessors are all settled, so outputs are byte-identical at any
+    ``n_jobs``; *progress* fires on every completion (any order) with a
+    monotonically increasing count.  On top of that sit per-run timeouts
+    (``config.timeout_s``), classified seeded retry (``config.retry``),
+    graceful pool degradation, partial salvage (``config.allow_partial``)
+    and crash-safe journaling (*journal_path*, keyed by the campaign
+    *digest* — computed from *specs* when not given).
 
     With *resume*, run indices the journal confirms done are replayed from
     the cache (counted in :attr:`SupervisedResult.replayed`); a confirmed
@@ -1000,7 +1007,7 @@ def supervise_campaign(
     journal: Optional[CampaignJournal] = None
     replayable: Dict[int, str] = {}
     if journal_path is not None:
-        digest = campaign_digest(specs)
+        digest = digest or campaign_digest(specs)
         if resume:
             if not Path(journal_path).is_file():
                 raise NoJournalError(str(journal_path))

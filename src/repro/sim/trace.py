@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional
 
 __all__ = ["TraceEvent", "TraceKind", "SchedTrace", "attach_trace"]
 

@@ -13,8 +13,8 @@ We model only the properties the paper's scheduler cares about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["CacheLevel", "CacheHierarchy", "SharingScope"]
 

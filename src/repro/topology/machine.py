@@ -8,7 +8,7 @@ matches how the paper enumerates the eight hardware threads of the js22.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.topology.cache import CacheHierarchy, SharingScope
 

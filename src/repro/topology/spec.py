@@ -23,7 +23,7 @@ Grammar (whitespace-separated tokens, order free except the shape):
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List
 
 from repro.topology.cache import CacheHierarchy, CacheLevel, SharingScope
 from repro.topology.machine import Machine

@@ -87,3 +87,22 @@ def test_default_flags_leave_output_unchanged(capsys):
     assert "retried" not in out
     assert "resumed" not in out
     assert "partial" not in out
+
+
+def test_faults_campaign_does_not_count_holes_as_completed(capsys, monkeypatch):
+    import repro.experiments.runner as runner
+
+    real = runner._execute_spec
+
+    def fail_run_one(spec):
+        if spec.run_index == 1:
+            raise ValueError("run 1 always fails")
+        return real(spec)
+
+    monkeypatch.setattr(runner, "_execute_spec", fail_run_one)
+    rc = main(["faults", "is", "A", "--offline-cores", "1", "-n", "3",
+               "--jobs", "1", "--allow-partial", "--retries", "0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "  completed 2/3" in out
+    assert "partial: 1 hole(s) at run indices [1]" in out

@@ -1,28 +1,38 @@
-"""The campaign execution engine: ordering, determinism, error surfacing.
+"""The campaign fabric: ordering, determinism, error surfacing, one driver.
 
-The unit tests drive :func:`execute_campaign` with a trivial worker so they
-stay fast; the integration test at the bottom is the real contract — a NAS
-campaign run serially and with a process pool produces byte-identical
-provenance and identical results.
+The unit tests drive :func:`supervise_campaign` with a trivial worker so
+they stay fast.  The ``run_specs`` test runs the three campaign kinds (node,
+cluster, batch) through their public drivers and checks that they share one
+cache/resume/sidecar contract.  The integration test at the bottom is the
+real contract: a NAS campaign run serially and with a process pool produces
+byte-identical provenance and identical results.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
 
 from repro.apps.spmd import Program
+from repro.batch.campaign import run_batch_campaign
+from repro.batch.workload import WorkloadConfig
 from repro.experiments.runner import (
     _derive_seed,
     build_campaign_specs,
+    run_campaign,
+    run_cluster_campaign,
     run_nas_campaign,
 )
 from repro.parallel import (
     CampaignRunError,
+    NoJournalError,
     ResultCache,
-    execute_campaign,
+    RetryPolicy,
+    SupervisorConfig,
     resolve_jobs,
+    supervise_campaign,
 )
 from repro.topology.presets import generic_smp
 from repro.units import msecs
@@ -39,6 +49,10 @@ def _specs(n_runs: int, base_seed: int = 0):
         _tiny_program, 4, "stock", n_runs,
         base_seed=base_seed, machine_factory=lambda: generic_smp(4),
     )
+
+
+#: Fail fast: no retry, so failures surface without backoff sleeps.
+_NO_RETRY = SupervisorConfig(retry=RetryPolicy(deterministic_retries=0))
 
 
 # Workers must be module-level: they cross the process boundary by name.
@@ -61,8 +75,8 @@ def _fail_run_two(spec):
 
 def test_serial_and_parallel_records_identical():
     specs = _specs(6, base_seed=11)
-    serial = execute_campaign(specs, _double_seed, n_jobs=1)
-    parallel = execute_campaign(specs, _double_seed, n_jobs=3)
+    serial = supervise_campaign(specs, _double_seed, n_jobs=1).records
+    parallel = supervise_campaign(specs, _double_seed, n_jobs=3).records
     key = lambda r: (r.run_index, r.seed, r.digest, r.result, r.cache_hit)
     assert [key(r) for r in serial] == [key(r) for r in parallel]
 
@@ -70,11 +84,11 @@ def test_serial_and_parallel_records_identical():
 def test_parallel_emits_in_run_index_order_despite_stragglers():
     specs = _specs(5)
     streamed = []
-    records = execute_campaign(
-        specs, _straggle_early_runs, n_jobs=4,
+    result = supervise_campaign(
+        specs, _straggle_early_runs, n_jobs=3,
         on_record=lambda r: streamed.append(r.run_index),
     )
-    assert [r.run_index for r in records] == [0, 1, 2, 3, 4]
+    assert [r.run_index for r in result.records] == [0, 1, 2, 3, 4]
     assert streamed == [0, 1, 2, 3, 4]
 
 
@@ -82,7 +96,7 @@ def test_parallel_emits_in_run_index_order_despite_stragglers():
 def test_progress_is_monotonic_and_complete(n_jobs):
     specs = _specs(5)
     calls = []
-    execute_campaign(
+    supervise_campaign(
         specs, _double_seed, n_jobs=n_jobs,
         progress=lambda done, total: calls.append((done, total)),
     )
@@ -93,7 +107,7 @@ def test_progress_is_monotonic_and_complete(n_jobs):
 def test_failure_names_run_seed_and_digest(n_jobs):
     specs = _specs(4, base_seed=9)
     with pytest.raises(CampaignRunError) as excinfo:
-        execute_campaign(specs, _fail_run_two, n_jobs=n_jobs)
+        supervise_campaign(specs, _fail_run_two, n_jobs=n_jobs, config=_NO_RETRY)
     err = excinfo.value
     assert err.run_index == 2
     assert err.seed == _derive_seed(9, 2)
@@ -112,18 +126,97 @@ def test_resolve_jobs():
 def test_cache_hits_preserve_ordering(tmp_path):
     specs = _specs(6)
     cache = ResultCache(str(tmp_path / "cache"))
-    execute_campaign(specs, _double_seed, n_jobs=1, cache=cache)
+    supervise_campaign(specs, _double_seed, n_jobs=1, cache=cache)
     # Evict half the entries so hits and misses interleave.
     for spec in specs[::2]:
         cache.path_for(spec.digest()).unlink()
     streamed = []
-    records = execute_campaign(
+    records = supervise_campaign(
         specs, _double_seed, n_jobs=2, cache=cache,
         on_record=lambda r: streamed.append(r.run_index),
-    )
+    ).records
     assert streamed == [0, 1, 2, 3, 4, 5]
     assert [r.cache_hit for r in records] == [False, True] * 3
     assert [r.result for r in records] == [s.seed * 2 for s in specs]
+
+
+# ---------------------------------------------------------------------------
+# run_specs: every campaign kind shares one cache/resume/sidecar contract.
+# ---------------------------------------------------------------------------
+
+
+#: kind -> (module holding the executor, its name, driver call, bench label)
+_KINDS = {
+    "node": (
+        "repro.experiments.runner", "_execute_spec",
+        lambda **kw: run_campaign(
+            _tiny_program, 4, "stock", 2,
+            machine_factory=lambda: generic_smp(4), **kw),
+        "eng",
+    ),
+    "cluster": (
+        "repro.experiments.runner", "_execute_cluster_spec",
+        lambda **kw: run_cluster_campaign(
+            _tiny_program, 2, "stock", 2, nprocs_per_node=2, **kw),
+        "eng",
+    ),
+    "batch": (
+        "repro.batch.campaign", "_execute_batch_spec",
+        lambda **kw: run_batch_campaign(
+            "fcfs", 2, "stock", 2, runtime_model="analytic",
+            workload=WorkloadConfig(n_jobs=3, interarrival_us=3_000,
+                                    max_nodes=2), **kw),
+        "batch-fcfs",
+    ),
+}
+
+_META_KEYS = {
+    "schema", "record", "bench", "regime", "n_runs", "base_seed", "jobs",
+    "cache_hits", "cache_misses", "retries", "timeouts", "pool_shrinks",
+    "holes", "resumed", "replayed", "started_at", "finished_at",
+    "duration_s",
+}
+
+
+def _always_fails(spec):
+    raise ValueError(f"run {spec.run_index} fails")
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_run_specs_contract_is_shared_by_every_kind(kind, tmp_path, monkeypatch):
+    module, executor, launch, bench = _KINDS[kind]
+    prov = str(tmp_path / "prov.jsonl")
+
+    with pytest.raises(NoJournalError):
+        launch(use_cache=False, resume=True)
+
+    fresh = launch(
+        provenance_path=prov, use_cache=True, cache_dir=str(tmp_path / "c"),
+        resume=True, resume_missing_ok=True,
+    )
+    assert fresh.n_runs == 2 and fresh.cache_hits == 0 and fresh.replayed == 0
+    meta = json.loads(open(prov + ".meta.json").read())
+    assert set(meta) == _META_KEYS
+    assert meta["resumed"] is False
+    assert (meta["bench"], meta["cache_misses"]) == (bench, 2)
+
+    monkeypatch.setattr(f"{module}.{executor}", _always_fails)
+    holed = launch(
+        provenance_path=prov,
+        supervise=SupervisorConfig(
+            retry=RetryPolicy(deterministic_retries=0), allow_partial=True),
+    )
+    assert (holed.results, holed.holes, holed.label) == ([], [0, 1], bench)
+    meta = json.loads(open(prov + ".meta.json").read())
+    assert set(meta) == _META_KEYS
+    assert meta["bench"] == bench
+    assert [h["run_index"] for h in meta["holes"]] == [0, 1]
+    assert open(prov).read() == ""
+
+
+def test_unknown_regime_is_named_before_kernel_config():
+    with pytest.raises(ValueError, match="unknown regime 'bogus'; choose from"):
+        run_campaign(_tiny_program, 2, "bogus", 1)
 
 
 # ---------------------------------------------------------------------------
