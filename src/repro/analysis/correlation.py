@@ -13,23 +13,26 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["pearson", "spearman", "binned_means", "CorrelationReport", "correlate"]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation coefficient (linear association)."""
+    from scipy import stats  # ~1 s to import; only Figure 3 needs it
+
     _check(x, y)
-    r, _ = _scipy_stats.pearsonr(np.asarray(x, float), np.asarray(y, float))
+    r, _ = stats.pearsonr(np.asarray(x, float), np.asarray(y, float))
     return float(r)
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank correlation (monotone association — the right notion
     for "time increases with events", robust to the heavy storm tail)."""
+    from scipy import stats
+
     _check(x, y)
-    r, _ = _scipy_stats.spearmanr(np.asarray(x, float), np.asarray(y, float))
+    r, _ = stats.spearmanr(np.asarray(x, float), np.asarray(y, float))
     return float(r)
 
 

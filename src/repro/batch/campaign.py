@@ -17,6 +17,7 @@ across cache-warm resume — CI's batch determinism leg diffs exactly this.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -30,7 +31,9 @@ __all__ = [
 ]
 
 
-def _execute_batch_spec(spec) -> Tuple[BatchResult, Optional[Dict]]:
+def _execute_batch_spec(
+    spec, *, pricing_store: Optional[str] = None
+) -> Tuple[BatchResult, Optional[Dict]]:
     """Execute one batch repetition from a picklable :class:`BatchRunSpec`.
 
     The batch analogue of ``_execute_spec``: module-level, a pure function
@@ -38,7 +41,8 @@ def _execute_batch_spec(spec) -> Tuple[BatchResult, Optional[Dict]]:
     — traces never cross the process boundary — and the second element of
     the return pair (the supervisor's ``faults`` slot) is always None:
     walltime kills are policy behaviour, not injected faults, and they are
-    accounted in the result itself.
+    accounted in the result itself.  *pricing_store* is the campaign's
+    shared sim-price directory (None: prices stay in this process).
     """
     trace = generate_trace(spec.workload, spec.seed)
     result = simulate_batch(
@@ -55,6 +59,7 @@ def _execute_batch_spec(spec) -> Tuple[BatchResult, Optional[Dict]]:
         job_retries=spec.job_retries,
         restart_cost_us=spec.restart_cost_us,
         placement=spec.placement,
+        pricing_store=pricing_store,
     )
     return result, None
 
@@ -256,9 +261,18 @@ def run_batch_campaign(
     ``batch.queue_depth`` gauge (whose high-water mark is the deepest queue
     any repetition saw), so the batch layer's scheduling traffic shows up
     in the metrics snapshot next to cache and retry counts.
+
+    With *use_cache* and the sim runtime model, job prices are also
+    persisted in the cache root's ``pricing/`` store, which every worker
+    reads and writes, so each job shape is simulated once per cache (and
+    model source) rather than once per worker process.  Prices are pure
+    functions of the shape, so results are identical either way; the
+    result cache's hit/miss accounting never sees them.
     """
     from repro.obs.provenance import batch_run_record
+    from repro.parallel.cache import PRICING_DIR, cache_root
     from repro.parallel.engine import run_specs
+    from repro.parallel.jobspec import model_epoch
 
     specs = build_batch_specs(
         policy,
@@ -275,6 +289,13 @@ def run_batch_campaign(
         placement=placement,
     )
     bench = label or f"batch-{policy}"
+    execute = _execute_batch_spec
+    if use_cache and runtime_model == "sim":
+        model_epoch()  # computed once here; forked workers inherit it
+        execute = functools.partial(
+            _execute_batch_spec,
+            pricing_store=str(cache_root(cache_dir) / PRICING_DIR),
+        )
 
     def to_record(record) -> Dict[str, object]:
         return batch_run_record(
@@ -288,7 +309,7 @@ def run_batch_campaign(
         policy=policy,
         **run_specs(
             specs,
-            _execute_batch_spec,
+            execute,
             to_record,
             _count_schedule,
             label=bench,

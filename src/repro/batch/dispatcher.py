@@ -256,7 +256,10 @@ class BatchDispatcher:
     ``job_retries`` bounds fault-kill requeues per job; ``restart_cost_us``
     is the checkpoint-resume surcharge each restart owes; ``placement``
     selects ``lowest`` (lowest-id-first, the historical rule) or ``wary``
-    (deprioritize recently-failed nodes, ties by id).
+    (deprioritize recently-failed nodes, ties by id).  ``pricing_store``
+    is the directory persisting sim-model prices across processes (see
+    :func:`~repro.batch.runtime.base_runtime_us`); prices are pure, so it
+    never changes a result.
 
     The state policies read is indexed and kept current as the dispatcher
     runs instead of being rebuilt at every event:
@@ -290,6 +293,7 @@ class BatchDispatcher:
         job_retries: int = 2,
         restart_cost_us: int = 2_000,
         placement: str = "lowest",
+        pricing_store: Optional[str] = None,
     ) -> None:
         if pool_nodes < 1:
             raise ValueError("pool_nodes must be >= 1")
@@ -321,6 +325,7 @@ class BatchDispatcher:
         self.job_retries = job_retries
         self.restart_cost_us = restart_cost_us
         self.placement = placement
+        self.pricing_store = pricing_store
         #: Armed = there is at least one fault to apply.  Every fault-only
         #: code path below is gated on this (or degenerates to a no-op) so
         #: unarmed runs replay the historical dispatcher byte-for-byte.
@@ -852,6 +857,7 @@ class BatchDispatcher:
             job, self.regime,
             model=self.runtime_model,
             internode_latency=self.internode_latency,
+            pricing_store=self.pricing_store,
         )
 
     def _result(self) -> BatchResult:
@@ -916,6 +922,7 @@ def simulate_batch(
     job_retries: int = 2,
     restart_cost_us: int = 2_000,
     placement: str = "lowest",
+    pricing_store: Optional[str] = None,
 ) -> BatchResult:
     """One-call schedule of *jobs* under a policy named by registry key."""
     disp = BatchDispatcher(
@@ -924,5 +931,6 @@ def simulate_batch(
         internode_latency=internode_latency, runtimes=runtimes,
         fault_plan=fault_plan, job_retries=job_retries,
         restart_cost_us=restart_cost_us, placement=placement,
+        pricing_store=pricing_store,
     )
     return disp.dispatch()

@@ -20,13 +20,18 @@ holds its nodes is the node-level scheduler's business.  Two models:
 
 Both are pure functions of ``(job shape, regime)``; the sim model memoizes
 on :meth:`BatchJob.shape_fingerprint` because two equal shapes simulate the
-same microseconds (the in-process analogue of the on-disk result cache).
+same microseconds.  Two tiers: an in-process LRU, and — when a campaign
+passes a *pricing store* (the ``pricing/`` directory of its result-cache
+root) — one plain-text integer per shape on disk, keyed by the shape digest
+and :func:`~repro.parallel.jobspec.model_epoch`, so every campaign and every
+pool worker sharing the cache simulates each shape once per model source.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict
+from pathlib import Path
+from typing import Dict, Optional
 
 from repro.batch.workload import BatchJob
 from repro.sim.rng import RngStreams
@@ -62,7 +67,26 @@ def clear_runtime_memo() -> None:
     _SIM_MEMO.clear()
 
 
-def _sim_runtime(job: BatchJob, regime: str, internode_latency: int) -> int:
+def _price_path(pricing_store: str, key: str) -> Path:
+    """The on-disk entry for shape digest *key* under the current model
+    source: a shape priced by older model code is a different file."""
+    from repro.parallel.jobspec import model_epoch, stable_digest
+
+    return Path(pricing_store) / f"{stable_digest([key, model_epoch()])}.txt"
+
+
+def _load_price(path: Path) -> Optional[int]:
+    """The stored price at *path*, or None when it is missing or damaged
+    (a damaged entry is simply re-simulated and overwritten)."""
+    try:
+        runtime = int(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+    return runtime if runtime >= 1 else None
+
+
+def _sim_runtime(job: BatchJob, regime: str, internode_latency: int,
+                 pricing_store: Optional[str] = None) -> int:
     from repro.parallel.jobspec import stable_digest
 
     key = stable_digest(job.shape_fingerprint(regime, internode_latency))
@@ -70,17 +94,26 @@ def _sim_runtime(job: BatchJob, regime: str, internode_latency: int) -> int:
     if hit is not None:
         _SIM_MEMO[key] = hit  # refresh recency
         return hit
-    from repro.cluster.multinode import run_cluster_job
+    path = runtime = None
+    if pricing_store is not None:
+        path = _price_path(pricing_store, key)
+        runtime = _load_price(path)
+    if runtime is None:
+        from repro.cluster.multinode import run_cluster_job
 
-    result = run_cluster_job(
-        job.program(),
-        job.n_nodes,
-        regime=regime,
-        seed=job.seed,
-        nprocs_per_node=job.nprocs_per_node,
-        internode_latency=internode_latency,
-    )
-    runtime = max(1, result.app_time)
+        result = run_cluster_job(
+            job.program(),
+            job.n_nodes,
+            regime=regime,
+            seed=job.seed,
+            nprocs_per_node=job.nprocs_per_node,
+            internode_latency=internode_latency,
+        )
+        runtime = max(1, result.app_time)
+        if path is not None:
+            from repro.parallel.cache import atomic_write
+
+            atomic_write(path, f"{runtime}\n".encode("ascii"))
     while len(_SIM_MEMO) >= _SIM_MEMO_CAP:
         _SIM_MEMO.pop(next(iter(_SIM_MEMO)))
     _SIM_MEMO[key] = runtime
@@ -106,13 +139,16 @@ def base_runtime_us(
     *,
     model: str = "sim",
     internode_latency: int = 30,
+    pricing_store: Optional[str] = None,
 ) -> int:
     """The job's isolated service demand, µs, under *regime*.
 
     "Isolated" means dedicated nodes at full rate; fractional-sharing
-    dilation is the dispatcher's job, applied on top of this."""
+    dilation is the dispatcher's job, applied on top of this.
+    *pricing_store*, a directory, persists sim-model prices across
+    processes; the analytic model ignores it."""
     if model == "sim":
-        return _sim_runtime(job, regime, internode_latency)
+        return _sim_runtime(job, regime, internode_latency, pricing_store)
     if model == "analytic":
         return _analytic_runtime(job, regime)
     raise ValueError(

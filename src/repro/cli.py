@@ -1297,7 +1297,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     info = cache.info()
     cache.clear()
-    print(f"cleared {info.entries} cached result(s) from {cache.root}")
+    pricing = f" and {info.pricing} pricing entries" if info.pricing else ""
+    print(f"cleared {info.entries} cached result(s){pricing} from {cache.root}")
     return 0
 
 

@@ -16,9 +16,12 @@ into ``<root>/quarantine/`` (preserving the evidence for diagnosis) with a
 one-line warning, then treated as a miss.  ``cache info`` reports the
 quarantine count so silent decay is visible.
 
-Two subdirectory names are reserved and never scanned for entries:
-``quarantine`` (this module) and ``journal`` (the supervisor's crash-safe
-campaign checkpoints, :mod:`repro.parallel.supervisor`).
+Three subdirectory names are reserved and never scanned for entries:
+``quarantine`` (this module), ``journal`` (the supervisor's crash-safe
+campaign checkpoints, :mod:`repro.parallel.supervisor`) and ``pricing``
+(sim-model job prices shared by every batch campaign and worker,
+:mod:`repro.batch.runtime`).  ``cache info`` counts pricing entries
+separately and ``cache clear`` deletes them with the results.
 
 The root defaults to ``.repro-cache`` in the working directory and can be
 moved with the ``REPRO_CACHE_DIR`` environment variable.
@@ -39,9 +42,12 @@ from repro import __version__
 __all__ = [
     "CACHE_ENV_VAR",
     "DEFAULT_CACHE_DIR",
+    "PRICING_DIR",
     "QUARANTINE_DIR",
     "CacheInfo",
     "ResultCache",
+    "atomic_write",
+    "cache_root",
 ]
 
 log = logging.getLogger(__name__)
@@ -52,12 +58,38 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 #: Where corrupt / schema-mismatched entries are moved instead of deleted.
 QUARANTINE_DIR = "quarantine"
+#: Where batch campaigns persist sim-model job prices (one integer each).
+PRICING_DIR = "pricing"
 
 #: Bump when the payload layout changes; older entries then miss.
 _PAYLOAD_SCHEMA = 1
 
 #: Subdirectories of the cache root that hold non-entry data.
-_RESERVED_SUBDIRS = frozenset({QUARANTINE_DIR, "journal"})
+_RESERVED_SUBDIRS = frozenset({QUARANTINE_DIR, PRICING_DIR, "journal"})
+
+
+def cache_root(root: Optional[str] = None) -> Path:
+    """The cache root: *root*, else ``$REPRO_CACHE_DIR``, else the default."""
+    if root is None:
+        root = os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
+    return Path(root)
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write *data* to *path* via a temp file and ``os.replace``, so a
+    reader sees the old entry or the new one, never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass(frozen=True)
@@ -68,6 +100,7 @@ class CacheInfo:
     entries: int
     total_bytes: int
     quarantined: int = 0
+    pricing: int = 0
 
     def render(self) -> str:
         size = self.total_bytes
@@ -82,6 +115,8 @@ class CacheInfo:
         )
         if self.quarantined:
             lines += f"\nquarantined: {self.quarantined}"
+        if self.pricing:
+            lines += f"\npricing entries: {self.pricing}"
         return lines
 
 
@@ -95,9 +130,7 @@ class ResultCache:
     """
 
     def __init__(self, root: Optional[str] = None, *, metrics=None) -> None:
-        if root is None:
-            root = os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
-        self.root = Path(root)
+        self.root = cache_root(root)
         self.hits = 0
         self.misses = 0
         #: Entries moved to quarantine by this instance.
@@ -185,19 +218,10 @@ class ResultCache:
             "result": result,
             "faults": faults,
         }
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self.path_for(key),
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     # ------------------------------------------------------------ management
 
@@ -213,6 +237,11 @@ class ResultCache:
         if quarantine.is_dir():
             yield from sorted(quarantine.glob("*.pkl"))
 
+    def _pricing_paths(self):
+        pricing = self.root / PRICING_DIR
+        if pricing.is_dir():
+            yield from sorted(p for p in pricing.iterdir() if p.is_file())
+
     def info(self) -> CacheInfo:
         entries = 0
         total = 0
@@ -223,17 +252,21 @@ class ResultCache:
             except OSError:
                 pass
         quarantined = sum(1 for _ in self._quarantined_paths())
+        pricing = sum(1 for _ in self._pricing_paths())
         return CacheInfo(
             root=str(self.root),
             entries=entries,
             total_bytes=total,
             quarantined=quarantined,
+            pricing=pricing,
         )
 
     def clear(self) -> int:
-        """Delete every entry (quarantined included); returns how many."""
+        """Delete every entry (quarantined and pricing included); returns
+        how many."""
         removed = 0
-        for path in list(self._entry_paths()) + list(self._quarantined_paths()):
+        for path in (list(self._entry_paths()) + list(self._quarantined_paths())
+                     + list(self._pricing_paths())):
             try:
                 path.unlink()
                 removed += 1

@@ -17,9 +17,11 @@ order — factories themselves (often closures) never cross the boundary, so
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro import __version__
@@ -36,10 +38,18 @@ __all__ = [
     "BatchRunSpec",
     "ClusterRunSpec",
     "RunSpec",
+    "MODEL_PACKAGES",
     "machine_fingerprint",
+    "model_epoch",
     "spec_fingerprint",
     "stable_digest",
 ]
+
+#: The subpackages of ``repro`` whose source determines simulated results.
+MODEL_PACKAGES = (
+    "sim", "kernel", "memsim", "topology", "core", "apps", "cluster",
+    "batch", "faults",
+)
 
 
 def _jsonable(value):
@@ -66,6 +76,28 @@ def stable_digest(payload, length: int = 32) -> str:
     """sha256 hex digest (truncated to *length*) of normalized *payload*."""
     blob = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
+
+
+@functools.lru_cache(maxsize=None)
+def model_epoch() -> str:
+    """sha256 over the model source: the sorted relative paths and bytes of
+    every ``.py`` file in :data:`MODEL_PACKAGES`.
+
+    Stores that outlive the code that filled them key on this, so editing
+    any model file (one constant is enough) moves every key.  Computed once
+    per process (~2.5 ms); forked workers inherit the parent's value."""
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for pkg in MODEL_PACKAGES
+        for path in (root / pkg).rglob("*.py")
+    )
+    h = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
 
 
 def machine_fingerprint(machine: Machine) -> Dict[str, object]:

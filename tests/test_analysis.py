@@ -1,5 +1,8 @@
 """Tests for statistics, histograms, correlation, and table rendering."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +126,17 @@ def test_spearman_monotone():
     x = [1, 2, 3, 4, 5]
     y = [1, 10, 100, 1000, 10000]  # monotone but not linear
     assert spearman(x, y) == pytest.approx(1.0)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats costs ~1 s to import and only the correlation functions
+    # use it, so it must load on their first call, not with the CLI.
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('scipy' in sys.modules)"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_correlation_validation():

@@ -1,0 +1,248 @@
+"""The on-disk sim-pricing store: shared, self-healing, invisible in results.
+
+Sim-model job prices are pure functions of the job shape, so persisting
+them under the campaign cache's ``pricing/`` directory may only change how
+often the node-level simulator runs — never a result or a provenance byte.
+Disk entries are keyed to the model source (``model_epoch``), so a store
+filled by different model code is never consulted.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+import pytest
+
+import repro.cluster.multinode as multinode
+from repro.batch import (
+    WorkloadConfig,
+    base_runtime_us,
+    clear_runtime_memo,
+    run_batch_campaign,
+)
+from repro.batch.workload import BatchJob
+from repro.parallel.cache import PRICING_DIR
+
+SMALL = WorkloadConfig(n_jobs=6, interarrival_us=3_000, max_nodes=2)
+
+
+class _FakeClusterResult:
+    def __init__(self, app_time: int) -> None:
+        self.app_time = app_time
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    clear_runtime_memo()
+    yield
+    clear_runtime_memo()
+
+
+def _fake_run_cluster_job(program, n_nodes, *, regime, seed,
+                          nprocs_per_node, internode_latency):
+    # a pure function of the job shape, like the real simulator
+    return _FakeClusterResult(1_000 + 97 * seed + 13 * n_nodes)
+
+
+@pytest.fixture
+def fake_sim(monkeypatch):
+    """Replace the node-level simulator with a pure, countable stand-in."""
+    calls = []
+
+    def counted(program, n_nodes, **kwargs):
+        calls.append(kwargs["seed"])
+        return _fake_run_cluster_job(program, n_nodes, **kwargs)
+
+    monkeypatch.setattr(multinode, "run_cluster_job", counted)
+    return calls
+
+
+def _forbid_simulation(monkeypatch):
+    """Make any node-level simulation fail; forked workers inherit it."""
+    def boom(*args, **kwargs):
+        raise AssertionError("simulated a shape the pricing store holds")
+
+    monkeypatch.setattr(multinode, "run_cluster_job", boom)
+
+
+def _job(seed, n_nodes=1):
+    return BatchJob(
+        job_id=seed, submit=0, n_nodes=n_nodes, nprocs_per_node=4,
+        n_iters=3, estimate=10_000, seed=seed,
+    )
+
+
+def _campaign(policy, n_jobs, **kwargs):
+    return run_batch_campaign(
+        policy, 2, "hpl", 2, base_seed=3, workload=SMALL, n_jobs=n_jobs,
+        **kwargs,
+    )
+
+
+# ------------------------------------------------------ (a) cross-process
+
+
+def test_pooled_campaigns_share_prices_across_workers(tmp_path, monkeypatch):
+    reference = _campaign("easy", 1)
+    clear_runtime_memo()
+    cache = str(tmp_path / "cache")
+    _campaign("fcfs", 2, use_cache=True, cache_dir=cache)
+    assert any((tmp_path / "cache" / PRICING_DIR).iterdir())
+
+    clear_runtime_memo()
+    _forbid_simulation(monkeypatch)
+    warm = _campaign("easy", 2, use_cache=True, cache_dir=cache)
+    assert warm.results == reference.results
+    assert warm.cache_hits == 0  # prices are not campaign results
+
+
+def test_no_cache_writes_no_store(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    _campaign("fcfs", 1, use_cache=False)
+    assert not (tmp_path / "cache").exists()
+    assert not (tmp_path / ".repro-cache").exists()
+
+
+def test_store_hit_skips_simulation(tmp_path, fake_sim):
+    store = str(tmp_path / PRICING_DIR)
+    first = base_runtime_us(_job(5), "stock", pricing_store=store)
+    clear_runtime_memo()
+    assert base_runtime_us(_job(5), "stock", pricing_store=store) == first
+    assert fake_sim == [5]
+
+
+def test_analytic_model_ignores_the_store(tmp_path):
+    store = tmp_path / PRICING_DIR
+    base_runtime_us(_job(5), "stock", model="analytic", pricing_store=str(store))
+    assert not store.exists()
+
+
+def _price_shapes(store):
+    """Pool worker: price a fixed set of shapes into *store*."""
+    multinode.run_cluster_job = _fake_run_cluster_job
+    clear_runtime_memo()
+    return [base_runtime_us(_job(s), "stock", pricing_store=store)
+            for s in range(12)]
+
+
+def test_concurrent_writers_leave_only_whole_entries(tmp_path):
+    # More writers than cores race to fill the same entries; atomic
+    # replacement must leave exactly one whole, correct integer per shape.
+    store = tmp_path / PRICING_DIR
+    expected = [_fake_run_cluster_job(None, 1, regime="stock", seed=s,
+                                      nprocs_per_node=4,
+                                      internode_latency=30).app_time
+                for s in range(12)]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(4, mp_context=ctx) as pool:
+        futures = [pool.submit(_price_shapes, str(store)) for _ in range(8)]
+        results = [f.result(timeout=120) for f in futures]
+    assert results == [expected] * 8
+    entries = sorted(store.iterdir())
+    assert len(entries) == 12
+    assert sorted(int(p.read_bytes()) for p in entries) == sorted(expected)
+
+
+# ----------------------------------------------------- (b) damaged entries
+
+
+@pytest.mark.parametrize(
+    "damage", [b"", b"garbage\n", b"12.5\n", b"0\n", b"-3\n", b"\xff\xfe"])
+def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, fake_sim, damage):
+    store = tmp_path / PRICING_DIR
+    expected = base_runtime_us(_job(7), "stock", pricing_store=str(store))
+    [entry] = store.iterdir()
+    entry.write_bytes(damage)
+
+    clear_runtime_memo()
+    assert base_runtime_us(_job(7), "stock", pricing_store=str(store)) == expected
+    assert fake_sim == [7, 7]
+    assert entry.read_bytes() == f"{expected}\n".encode("ascii")
+
+
+# --------------------------------------------------- (c) byte identity
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_provenance_identical_cold_warm_and_uncached(tmp_path, monkeypatch,
+                                                     n_jobs):
+    def provenance(tag, **kwargs):
+        clear_runtime_memo()
+        path = tmp_path / f"{tag}.jsonl"
+        _campaign("share", n_jobs, provenance_path=str(path), **kwargs)
+        return path.read_bytes()
+
+    uncached = provenance("uncached")
+    cold = provenance("cold", use_cache=True, cache_dir=str(tmp_path / "cold"))
+    # A fresh result cache over the cold run's prices: every repetition
+    # executes, and every price comes from disk.
+    shutil.copytree(tmp_path / "cold" / PRICING_DIR,
+                    tmp_path / "warm" / PRICING_DIR)
+    _forbid_simulation(monkeypatch)
+    warm = provenance("warm", use_cache=True, cache_dir=str(tmp_path / "warm"))
+    assert cold == uncached
+    assert warm == uncached
+
+
+# ----------------------------------------------------- model-source epoch
+
+_LOOKUP = """
+import sys
+import repro
+import repro.cluster.multinode as multinode
+from repro.batch.runtime import base_runtime_us
+from repro.batch.workload import BatchJob
+from repro.parallel.jobspec import model_epoch
+
+calls = []
+
+class Result:
+    app_time = 4242
+
+def fake(*args, **kwargs):
+    calls.append(1)
+    return Result()
+
+multinode.run_cluster_job = fake
+job = BatchJob(job_id=0, submit=0, n_nodes=1, nprocs_per_node=2, n_iters=2,
+               estimate=10_000, seed=1)
+base_runtime_us(job, "hpl", pricing_store=sys.argv[1])
+print(model_epoch(), len(calls), repro.__file__)
+"""
+
+
+def test_model_source_change_moves_the_epoch_and_misses(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    copies = {}
+    for name in ("a", "b"):
+        copies[name] = tmp_path / name
+        shutil.copytree(src, copies[name] / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    constant = copies["b"] / "repro" / "kernel" / "sched_core.py"
+    text = constant.read_text()
+    assert "_WORK_EPSILON = 2\n" in text
+    constant.write_text(text.replace("_WORK_EPSILON = 2\n", "_WORK_EPSILON = 3\n"))
+    store = str(tmp_path / "cache" / PRICING_DIR)
+
+    def lookup(name):
+        env = dict(os.environ, PYTHONPATH=str(copies[name]))
+        out = subprocess.run(
+            [sys.executable, "-c", _LOOKUP, store], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert Path(out[2]).is_relative_to(copies[name])
+        return out[0], int(out[1])
+
+    epoch_a, sims = lookup("a")
+    assert sims == 1                      # cold store
+    assert lookup("a") == (epoch_a, 0)    # same source: a disk hit
+    epoch_b, sims = lookup("b")
+    assert epoch_b != epoch_a
+    assert sims == 1                      # other model source: a miss

@@ -52,11 +52,25 @@ def test_cache_info_and_clear(capsys):
     assert main(["campaign", "is", "A", "-n", "3", "--jobs", "1"]) == 0
     capsys.readouterr()
     assert main(["cache", "info"]) == 0
-    assert "entries    : 3" in capsys.readouterr().out
-    assert main(["cache", "clear"]) == 0
-    assert "cleared 3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "entries    : 3" in out
+    assert "pricing" not in out
+    # A sim-priced batch campaign also fills the pricing store; its
+    # entries are counted apart from campaign results.
+    assert main(["batch", "fcfs", "--pool", "2", "-n", "1", "--trace-jobs",
+                 "2", "--max-nodes", "1", "--jobs", "1"]) == 0
+    capsys.readouterr()
     assert main(["cache", "info"]) == 0
-    assert "entries    : 0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "entries    : 4" in out
+    assert "pricing entries: 2" in out
+    assert main(["cache", "clear"]) == 0
+    assert "cleared 4 cached result(s) and 2 pricing entries" in (
+        capsys.readouterr().out)
+    assert main(["cache", "info"]) == 0
+    out = capsys.readouterr().out
+    assert "entries    : 0" in out
+    assert "pricing" not in out
 
 
 def test_faults_runs_flag_summarizes_campaign(capsys):
