@@ -474,6 +474,10 @@ class MpiApplication:
             base = now
         self.stats.lost_work_us += now - base
         self.stats.recovery_time_us += ft.restart_cost
+        # Ranks that already exited are rolled back with the rest, so their
+        # exits no longer count.
+        self.stats.ranks_exited = 0
+        self.stats.finished_at = None
         self._teardown_incarnation()
         for rank in self.ranks:
             self._respawn(rank)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.batch.dispatcher import BatchResult, simulate_batch
 from repro.batch.workload import WorkloadConfig, generate_trace
@@ -73,9 +73,7 @@ def _count_schedule(record, telemetry) -> None:
     reg.counter("batch.colocations").inc(res.colocations)
     reg.counter("batch.kills").inc(res.kills)
     reg.gauge("batch.queue_depth").set(res.queue_depth_peak)
-    # getattr: cached results from before the fault universe lack the
-    # fields; such results are by definition unarmed.
-    if getattr(res, "fault_plan_digest", None) is not None:
+    if res.fault_plan_digest is not None:
         reg.counter("batch.requeues").inc(res.requeues)
         reg.counter("batch.preempts").inc(res.preempts)
         reg.counter("batch.drains").inc(res.drains)
@@ -132,16 +130,16 @@ class BatchCampaignResult:
         return sum(r.kills for r in self.results)
 
     def total_requeues(self) -> int:
-        return sum(getattr(r, "requeues", 0) for r in self.results)
+        return sum(r.requeues for r in self.results)
 
     def total_preempts(self) -> int:
-        return sum(getattr(r, "preempts", 0) for r in self.results)
+        return sum(r.preempts for r in self.results)
 
     def total_failed(self) -> int:
-        return sum(getattr(r, "failed", 0) for r in self.results)
+        return sum(r.failed for r in self.results)
 
     def total_node_lost_us(self) -> float:
-        return sum(getattr(r, "node_lost_us", 0.0) for r in self.results)
+        return sum(r.node_lost_us for r in self.results)
 
 
 def build_batch_specs(
@@ -238,15 +236,9 @@ def run_batch_campaign(
     restart_cost_us: int = 2_000,
     placement: str = "lowest",
     label: str = "",
-    provenance_path: Optional[str] = None,
-    n_jobs: Optional[int] = 1,
     use_cache: bool = False,
     cache_dir: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    supervise: Optional["SupervisorConfig"] = None,
-    resume: bool = False,
-    resume_missing_ok: bool = False,
-    telemetry: Optional["CampaignTelemetry"] = None,
+    **run_opts,
 ) -> BatchCampaignResult:
     """Run *n_runs* independent batch-schedule repetitions.
 
@@ -260,7 +252,10 @@ def run_batch_campaign(
     ``batch.colocations`` / ``batch.kills`` telemetry counters and the
     ``batch.queue_depth`` gauge (whose high-water mark is the deepest queue
     any repetition saw), so the batch layer's scheduling traffic shows up
-    in the metrics snapshot next to cache and retry counts.
+    in the metrics snapshot next to cache and retry counts.  *run_opts*
+    are the driver's execution options, forwarded unchanged; *use_cache*
+    and *cache_dir* are named here only because this function reads them
+    too.
 
     With *use_cache* and the sim runtime model, job prices are also
     persisted in the cache root's ``pricing/`` store, which every worker
@@ -315,14 +310,8 @@ def run_batch_campaign(
             label=bench,
             regime=regime,
             base_seed=base_seed,
-            provenance_path=provenance_path,
-            n_jobs=n_jobs,
             use_cache=use_cache,
             cache_dir=cache_dir,
-            progress=progress,
-            supervise=supervise,
-            resume=resume,
-            resume_missing_ok=resume_missing_ok,
-            telemetry=telemetry,
+            **run_opts,
         ),
     )

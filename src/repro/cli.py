@@ -197,19 +197,29 @@ def _make_telemetry(args: argparse.Namespace):
     return CampaignTelemetry(args.telemetry, listeners=listeners)
 
 
-def _supervisor_config(args: argparse.Namespace):
-    """Build the SupervisorConfig the flags ask for (None = all defaults)."""
+def _run_opts(args: argparse.Namespace) -> dict:
+    """The execution options the exec flags ask for, as the keywords of
+    :func:`repro.parallel.run_specs` (which every campaign forwards to).
+
+    The supervision flags fold into one ``supervise`` config; None when
+    all three are at their defaults."""
     from repro.parallel.supervisor import RetryPolicy, SupervisorConfig
 
-    if args.timeout is None and args.retries is None and not args.allow_partial:
-        return None
-    retry = RetryPolicy() if args.retries is None else RetryPolicy(
-        max_retries=args.retries
-    )
-    return SupervisorConfig(
-        timeout_s=args.timeout,
-        retry=retry,
-        allow_partial=args.allow_partial,
+    supervise = None
+    if args.timeout is not None or args.retries is not None or args.allow_partial:
+        supervise = SupervisorConfig(
+            timeout_s=args.timeout,
+            retry=RetryPolicy() if args.retries is None else RetryPolicy(
+                max_retries=args.retries
+            ),
+            allow_partial=args.allow_partial,
+        )
+    return dict(
+        n_jobs=args.jobs,
+        use_cache=args.use_cache,
+        cache_dir=getattr(args, "cache_dir", None),
+        supervise=supervise,
+        resume=args.resume,
     )
 
 
@@ -223,6 +233,23 @@ def _resume_usable(args: argparse.Namespace) -> bool:
               "runs from it); drop --no-cache", file=sys.stderr)
         return False
     return True
+
+
+def _bench_parser(runs: Optional[int] = None) -> argparse.ArgumentParser:
+    """The parent parser of every single-benchmark subcommand: ``bench
+    klass --regime --seed``.  :func:`main` checks the benchmark exists
+    before dispatching any command built on it.
+
+    *runs* adds ``-n/--runs`` with that default between --regime and
+    --seed, the place campaign's usage line lists it."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("bench", help="NAS benchmark name (cg, ep, ft, is, lu, mg)")
+    p.add_argument("klass", help="data-set class (A or B)")
+    p.add_argument("--regime", default="stock", choices=_REGIMES)
+    if runs is not None:
+        p.add_argument("-n", "--runs", type=_positive_int, default=runs)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,25 +269,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the repro package version and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bench = _bench_parser()
 
-    sub.add_parser("list", help="list experiments and benchmarks")
-    sub.add_parser("topology", help="describe the evaluation machine model")
+    sub.add_parser(
+        "list", help="list experiments and benchmarks"
+    ).set_defaults(func=_cmd_list)
+    sub.add_parser(
+        "topology", help="describe the evaluation machine model"
+    ).set_defaults(func=_cmd_topology)
 
-    run = sub.add_parser("run", help="run one benchmark execution")
-    run.add_argument("bench", help="NAS benchmark name (cg, ep, ft, is, lu, mg)")
-    run.add_argument("klass", help="data-set class (A or B)")
-    run.add_argument("--regime", default="stock",
-                     choices=_REGIMES)
-    run.add_argument("--seed", type=_nonneg_int, default=0)
+    sub.add_parser(
+        "run", parents=[bench], help="run one benchmark execution"
+    ).set_defaults(func=_cmd_run)
 
     stat = sub.add_parser(
-        "stat", help="run one execution and print perf-stat style counters"
+        "stat", parents=[bench],
+        help="run one execution and print perf-stat style counters",
     )
-    stat.add_argument("bench")
-    stat.add_argument("klass")
-    stat.add_argument("--regime", default="stock",
-                      choices=_REGIMES)
-    stat.add_argument("--seed", type=_nonneg_int, default=0)
+    stat.set_defaults(func=_cmd_stat)
     stat.add_argument("--ranks-only", action="store_true",
                       help="restrict the per-task table to application ranks")
     stat.add_argument("--sim-profile", action="store_true",
@@ -268,39 +294,30 @@ def build_parser() -> argparse.ArgumentParser:
                            "type, events/sec, heap depth, cascade sizes)")
 
     lat = sub.add_parser(
-        "latency",
+        "latency", parents=[bench],
         help="run one execution and print a perf-sched-latency style table",
     )
-    lat.add_argument("bench")
-    lat.add_argument("klass")
-    lat.add_argument("--regime", default="stock",
-                     choices=_REGIMES)
-    lat.add_argument("--seed", type=_nonneg_int, default=0)
+    lat.set_defaults(func=_cmd_latency)
     lat.add_argument("--all-tasks", action="store_true",
                      help="include daemons and launchers, not just ranks")
     lat.add_argument("--histogram", action="store_true",
                      help="append a wakeup-latency histogram")
 
     trace = sub.add_parser(
-        "trace", help="run one execution and export the scheduler event trace"
+        "trace", parents=[bench],
+        help="run one execution and export the scheduler event trace",
     )
-    trace.add_argument("bench")
-    trace.add_argument("klass")
-    trace.add_argument("--regime", default="stock",
-                       choices=_REGIMES)
-    trace.add_argument("--seed", type=_nonneg_int, default=0)
+    trace.set_defaults(func=_cmd_trace)
     trace.add_argument("--format", dest="fmt", default="chrome",
                        choices=["chrome", "ftrace"])
     trace.add_argument("-o", "--output", default="-",
                        help="output file ('-' = stdout)")
 
-    camp = sub.add_parser("campaign", help="run N repetitions and summarize")
-    camp.add_argument("bench")
-    camp.add_argument("klass")
-    camp.add_argument("--regime", default="stock",
-                      choices=_REGIMES)
-    camp.add_argument("-n", "--runs", type=_positive_int, default=50)
-    camp.add_argument("--seed", type=_nonneg_int, default=0)
+    camp = sub.add_parser(
+        "campaign", parents=[_bench_parser(runs=50)],
+        help="run N repetitions and summarize",
+    )
+    camp.set_defaults(func=_cmd_campaign)
     camp.add_argument("--provenance", default=None, metavar="PATH",
                       help="stream one JSONL provenance record per run to PATH")
     _add_exec_flags(camp, cache_dir=True)
@@ -310,12 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="summarize a campaign telemetry feed (live or finished)",
     )
+    top.set_defaults(func=_cmd_top)
     top.add_argument("feed", help="telemetry JSONL written by --telemetry")
 
     replay = sub.add_parser(
         "replay",
         help="load an exported trace and render a per-CPU Gantt SVG",
     )
+    replay.set_defaults(func=_cmd_replay)
     replay.add_argument("trace_file",
                         help="trace written by 'hpl-repro trace' "
                              "(Chrome JSON or ftrace text)")
@@ -330,13 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="chart title (default: derived from the trace)")
 
     faults = sub.add_parser(
-        "faults",
+        "faults", parents=[bench],
         help="run one benchmark execution under an injected fault plan",
     )
-    faults.add_argument("bench")
-    faults.add_argument("klass")
-    faults.add_argument("--regime", default="stock", choices=_REGIMES)
-    faults.add_argument("--seed", type=_nonneg_int, default=0)
+    faults.set_defaults(func=_cmd_faults)
     faults.add_argument("--offline-cores", type=_nonneg_int, default=0,
                         metavar="K", help="offline K whole cores mid-run")
     faults.add_argument("--offline-at-frac", type=float, default=0.4,
@@ -408,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a batch-scheduling campaign: a seeded job trace dispatched "
              "onto a simulated node pool under an allocation policy",
     )
+    batch.set_defaults(func=_cmd_batch)
     batch.add_argument("policy", choices=["fcfs", "easy", "priority", "share"],
                        help="allocation policy (see DESIGN SS13)")
     batch.add_argument("--pool", type=_positive_int, default=4, metavar="NODES",
@@ -482,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_flags(batch)
 
     exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
+    exp.set_defaults(func=_cmd_experiment)
     exp.add_argument("exp_id", help="fig1 fig2 fig3 fig4 tab1a tab1b tab2 policy "
                                     "resonance multinode decompose resilience "
                                     "cluster-resilience two-level "
@@ -491,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_flags(exp)
 
     sweep = sub.add_parser("sweep", help="run a sensitivity sweep")
+    sweep.set_defaults(func=_cmd_sweep)
     sweep.add_argument("which", choices=["noise", "smt", "spin"])
     sweep.add_argument("-n", "--runs", type=_positive_int, default=8)
     sweep.add_argument("--seed", type=_nonneg_int, default=0)
@@ -499,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="generate the full EXPERIMENTS.md paper-vs-measured report"
     )
+    report.set_defaults(func=_cmd_report)
     report.add_argument("-n", "--runs", type=_positive_int, default=40)
     report.add_argument("--seed", type=_nonneg_int, default=7)
     _add_exec_flags(report)
@@ -506,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export", help="export the ep.A.8 figures as SVG + CSV into a directory"
     )
+    export.set_defaults(func=_cmd_export)
     export.add_argument("out_dir")
     export.add_argument("-n", "--runs", type=_positive_int, default=60)
     export.add_argument("--seed", type=_nonneg_int, default=7)
@@ -514,6 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache", help="inspect or clear the campaign result cache"
     )
+    cache.set_defaults(func=_cmd_cache)
     cache.add_argument("action", choices=["info", "clear"])
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="result-cache directory (default: .repro-cache "
@@ -522,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.apps.nas import NAS_BENCHMARKS
     from repro.experiments.registry import list_experiments
 
@@ -539,7 +561,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_topology() -> int:
+def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.topology.presets import power6_js22
 
     machine = power6_js22()
@@ -562,8 +584,6 @@ def _cmd_topology() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_nas
 
-    if _unknown_bench(args.bench, args.klass):
-        return 2
     result = run_nas(args.bench, args.klass, args.regime, seed=args.seed)
     print(f"{result.program_name} under {args.regime} (seed {args.seed}):")
     print(f"  execution time : {result.app_time_s:.3f} s")
@@ -644,8 +664,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_nas_observed
     from repro.obs import trace_to_chrome, trace_to_ftrace
 
-    if _unknown_bench(args.bench, args.klass):
-        return 2
     reason = _unwritable(args.output)
     if reason is not None:
         print(f"error: cannot write -o {args.output}: {reason}", file=sys.stderr)
@@ -697,7 +715,9 @@ def _run_campaign_command(args: argparse.Namespace, launch, header, body) -> int
 
     Exit 2 before any simulation when --resume lacks the cache or a
     --provenance/--telemetry path cannot be written; then
-    ``launch(telemetry)`` runs the campaign (exit 2 on a missing journal).
+    ``launch(**run_opts)`` runs the campaign with the flags' execution
+    options, telemetry sink and provenance path (exit 2 on a missing
+    journal).
     The summary is ``header(campaign)``, then ``body(campaign)`` — or a
     hole line when no repetition completed — then the shared exec,
     supervision, provenance and telemetry lines."""
@@ -715,7 +735,11 @@ def _run_campaign_command(args: argparse.Namespace, launch, header, body) -> int
                 return 2
     telemetry = _make_telemetry(args)
     try:
-        campaign = launch(telemetry)
+        campaign = launch(
+            **_run_opts(args),
+            telemetry=telemetry,
+            provenance_path=getattr(args, "provenance", None),
+        )
     except NoJournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -740,16 +764,10 @@ def _run_campaign_command(args: argparse.Namespace, launch, header, body) -> int
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_nas_campaign
 
-    if _unknown_bench(args.bench, args.klass):
-        return 2
-
-    def launch(telemetry):
+    def launch(**run_opts):
         return run_nas_campaign(
             args.bench, args.klass, args.regime, args.runs, base_seed=args.seed,
-            provenance_path=args.provenance,
-            n_jobs=args.jobs, use_cache=args.use_cache, cache_dir=args.cache_dir,
-            supervise=_supervisor_config(args), resume=args.resume,
-            telemetry=telemetry,
+            **run_opts,
         )
 
     def body(campaign) -> None:
@@ -834,12 +852,7 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
         print(f"error: --cluster supports regimes stock, hpl, rt "
               f"(got {args.regime!r})", file=sys.stderr)
         return 2
-    try:
-        spec = nas_spec(args.bench, args.klass)
-    except KeyError:
-        print(f"error: unknown benchmark {args.bench}.{args.klass} "
-              f"(see 'hpl-repro list')", file=sys.stderr)
-        return 2
+    spec = nas_spec(args.bench, args.klass)
     for flag, value in (("--crash-node", args.crash_node),
                         ("--slow-node", args.slow_node)):
         if value is not None and value >= args.nodes:
@@ -879,7 +892,7 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
     if args.runs > 1:
         from repro.parallel.engine import CampaignRunError
 
-        def launch(telemetry):
+        def launch(**run_opts):
             return run_cluster_campaign(
                 lambda: program, args.nodes, args.regime, args.runs,
                 base_seed=args.seed,
@@ -887,9 +900,7 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
                 fault_plans=plans, tolerance=tolerance,
                 spare_nodes=args.spares,
                 label=f"{spec.label}@{args.nodes}n",
-                n_jobs=args.jobs, use_cache=args.use_cache,
-                supervise=_supervisor_config(args), resume=args.resume,
-                telemetry=telemetry,
+                **run_opts,
             )
 
         n_events = sum(len(p) for p in (plans or {}).values())
@@ -971,12 +982,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     if args.cluster:
         return _cmd_faults_cluster(args)
-    try:
-        spec = nas_spec(args.bench, args.klass)
-    except KeyError:
-        print(f"error: unknown benchmark {args.bench}.{args.klass} "
-              f"(see 'hpl-repro list')", file=sys.stderr)
-        return 2
+    spec = nas_spec(args.bench, args.klass)
     machine = power6_js22()
     fault_at = _JOB_START + int(args.offline_at_frac * spec.target_time)
 
@@ -1030,14 +1036,12 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             print("note: --watchdog applies to single runs only; "
                   "ignored with -n > 1", file=sys.stderr)
 
-        def launch(telemetry):
+        def launch(**run_opts):
             return run_nas_campaign(
                 args.bench, args.klass, args.regime, args.runs,
                 base_seed=args.seed,
                 fault_plan=plan, fault_tolerance=tolerance,
-                n_jobs=args.jobs, use_cache=args.use_cache,
-                supervise=_supervisor_config(args), resume=args.resume,
-                telemetry=telemetry,
+                **run_opts,
             )
 
         def body(campaign) -> None:
@@ -1164,7 +1168,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         {"max_share": args.max_share} if args.policy == "share" else None
     )
 
-    def launch(telemetry):
+    def launch(**run_opts):
         return run_batch_campaign(
             args.policy, args.pool, args.regime, args.runs,
             base_seed=args.seed,
@@ -1175,11 +1179,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             job_retries=args.job_retries,
             restart_cost_us=args.restart_cost,
             placement=args.placement,
-            provenance_path=args.provenance,
-            n_jobs=args.jobs, use_cache=args.use_cache,
-            cache_dir=args.cache_dir,
-            supervise=_supervisor_config(args), resume=args.resume,
-            telemetry=telemetry,
+            **run_opts,
         )
 
     def body(campaign) -> None:
@@ -1219,53 +1219,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweeps import (
-        noise_intensity_sweep,
-        smt_factor_sweep,
-        spin_threshold_sweep,
-    )
-
+def _run_artifact(args: argparse.Namespace, make) -> int:
+    """The path experiment, sweep, report and export share: exit 2 before
+    any simulation when --resume lacks the cache, else print
+    ``make(**run_opts)`` — the artifact's text, built with the flags'
+    execution options."""
     if not _resume_usable(args):
         return 2
-    runner = {
-        "noise": noise_intensity_sweep,
-        "smt": smt_factor_sweep,
-        "spin": spin_threshold_sweep,
-    }[args.which]
-    result = runner(
-        n_runs=args.runs, base_seed=args.seed,
-        n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
-    )
-    print(result.render())
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import generate_report
-
-    if not _resume_usable(args):
-        return 2
-    print(generate_report(
-        args.runs, args.seed, n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
-    ))
-    return 0
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.experiments.export import export_figures
-
-    if not _resume_usable(args):
-        return 2
-    written = export_figures(
-        args.out_dir, n_runs=args.runs, seed=args.seed,
-        n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
-    )
-    for path in written:
-        print(f"wrote {path}")
+    print(make(**_run_opts(args)))
     return 0
 
 
@@ -1278,14 +1239,51 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"error: unknown experiment {args.exp_id!r} "
               f"(see 'hpl-repro list')", file=sys.stderr)
         return 2
-    if not _resume_usable(args):
-        return 2
-    result = exp.run(
-        args.runs, args.seed, n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
+    return _run_artifact(
+        args,
+        lambda **run_opts: exp.run(args.runs, args.seed, **run_opts).render(),
     )
-    print(result.render())  # type: ignore[attr-defined]
-    return 0
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.sweeps import (
+        noise_intensity_sweep,
+        smt_factor_sweep,
+        spin_threshold_sweep,
+    )
+
+    runner = {
+        "noise": noise_intensity_sweep,
+        "smt": smt_factor_sweep,
+        "spin": spin_threshold_sweep,
+    }[args.which]
+    return _run_artifact(
+        args,
+        lambda **run_opts: runner(
+            n_runs=args.runs, base_seed=args.seed, **run_opts
+        ).render(),
+    )
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.experiments.report import generate_report
+
+    return _run_artifact(
+        args,
+        lambda **run_opts: generate_report(args.runs, args.seed, **run_opts),
+    )
+
+
+def _cmd_export(args: argparse.Namespace) -> int:
+    from repro.experiments.export import export_figures
+
+    def make(**run_opts) -> str:
+        written = export_figures(
+            args.out_dir, n_runs=args.runs, seed=args.seed, **run_opts
+        )
+        return "\n".join(f"wrote {path}" for path in written)
+
+    return _run_artifact(args, make)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -1304,39 +1302,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "topology":
-        return _cmd_topology()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "stat":
-        return _cmd_stat(args)
-    if args.command == "latency":
-        return _cmd_latency(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "batch":
-        return _cmd_batch(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    raise AssertionError("unreachable")
+    if hasattr(args, "bench") and _unknown_bench(args.bench, args.klass):
+        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -146,15 +146,13 @@ def batch_resilience_campaign(
     runtime_model: str = "sim",
     job_retries: int = 2,
     restart_cost_us: int = 2_000,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> BatchResilienceResult:
     """Cross policies x regimes x fault intensities over seeded traces.
 
     Every cell runs through :func:`~repro.batch.campaign.run_batch_campaign`
-    — cached, supervised, journal-lenient — so faulted cells parallelize,
+    — cached, supervised, journal-lenient, with *run_opts* as its
+    execution options — so faulted cells parallelize,
     cache and resume exactly like reliable ones (the CI determinism gate
     diffs a faulted cell's provenance across worker counts).
     """
@@ -207,9 +205,8 @@ def batch_resilience_campaign(
                     job_retries=job_retries,
                     restart_cost_us=restart_cost_us,
                     label=f"batch-res-{policy}-{intensity}",
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
                     resume_missing_ok=True,
+                    **run_opts,
                 )
                 responses = [
                     mean(o.response for o in r.jobs)

@@ -99,30 +99,26 @@ def export_figures(
     seed: int = 7,
     stock_campaign: Optional[CampaignResult] = None,
     rt_campaign: Optional[CampaignResult] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> List[Path]:
     """Write figure2.svg, figure3a.svg, figure3b.svg, figure4.svg (and the
     CSVs behind them) into *out_dir*; returns the written paths.
 
     Pass pre-run campaigns to reuse data (the benchmark harness does).
-    *n_jobs*/*use_cache* parallelize and cache the underlying campaigns, so
-    a re-export with unchanged inputs runs zero simulations."""
+    *run_opts* are the underlying campaigns' execution options; with the
+    result cache on, a re-export with unchanged inputs runs zero
+    simulations."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
 
     stock = stock_campaign or run_nas_campaign(
         "ep", "A", "stock", n_runs, base_seed=seed,
-        n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume, resume_missing_ok=True,
+        resume_missing_ok=True, **run_opts,
     )
     rt = rt_campaign or run_nas_campaign(
         "ep", "A", "rt", n_runs, base_seed=seed,
-        n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume, resume_missing_ok=True,
+        resume_missing_ok=True, **run_opts,
     )
 
     def write(name: str, content: str) -> None:

@@ -180,14 +180,11 @@ class HistogramFigure:
 
 
 def _histogram_figure(
-    regime: str, n_runs: int, seed: int, label: str, n_bins: int,
-    n_jobs: Optional[int] = 1, use_cache: bool = False,
-    supervise=None, resume: bool = False,
+    regime: str, n_runs: int, seed: int, label: str, n_bins: int, **run_opts
 ) -> HistogramFigure:
     campaign = run_nas_campaign(
         "ep", "A", regime, n_runs, base_seed=seed,
-        n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume, resume_missing_ok=True,
+        resume_missing_ok=True, **run_opts,
     )
     times = campaign.app_times_s()
     return HistogramFigure(
@@ -200,28 +197,25 @@ def _histogram_figure(
 
 
 def figure2(
-    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40,
-    n_jobs: Optional[int] = 1, use_cache: bool = False,
-    supervise=None, resume: bool = False,
+    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40, **run_opts
 ) -> HistogramFigure:
     """Fig. 2: ep.A.8 execution-time distribution under stock Linux —
-    expected shape: right-skewed, max/min ≈ 1.7x."""
+    expected shape: right-skewed, max/min ≈ 1.7x.  *run_opts* are the
+    campaign's execution options."""
     return _histogram_figure(
         "stock", n_runs, seed, "Figure 2: ep.A.8 stock Linux", n_bins,
-        n_jobs=n_jobs, use_cache=use_cache, supervise=supervise, resume=resume,
+        **run_opts,
     )
 
 
 def figure4(
-    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40,
-    n_jobs: Optional[int] = 1, use_cache: bool = False,
-    supervise=None, resume: bool = False,
+    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40, **run_opts
 ) -> HistogramFigure:
     """Fig. 4: ep.A.8 under the RT scheduler — tighter than Fig. 2 but with
     a residual tail (RT balancing + migration daemon)."""
     return _histogram_figure(
         "rt", n_runs, seed, "Figure 4: ep.A.8 RT scheduler", n_bins,
-        n_jobs=n_jobs, use_cache=use_cache, supervise=supervise, resume=resume,
+        **run_opts,
     )
 
 
@@ -259,10 +253,7 @@ def figure3(
     *,
     seed: int = 0,
     campaign: Optional[CampaignResult] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> Figure3Result:
     """Fig. 3a/3b: positive relation between ep.A.8 execution time and the
     two software events, under stock Linux.  Pass ``campaign`` to reuse the
@@ -270,8 +261,7 @@ def figure3(
     if campaign is None:
         campaign = run_nas_campaign(
             "ep", "A", "stock", n_runs, base_seed=seed,
-            n_jobs=n_jobs, use_cache=use_cache,
-            supervise=supervise, resume=resume, resume_missing_ok=True,
+            resume_missing_ok=True, **run_opts,
         )
     times = campaign.app_times_s()
     return Figure3Result(

@@ -7,7 +7,7 @@ benchmark harness can enumerate them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 __all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "list_experiments"]
 
@@ -19,81 +19,60 @@ class Experiment:
     exp_id: str
     paper_artifact: str
     description: str
-    #: fn(n_runs, seed, *, n_jobs=1, use_cache=False, supervise=None,
-    #: resume=False) -> object with a .render() method.  Every regenerator
-    #: accepts the execution keywords (worker count, cache, supervisor
-    #: config, journal resume); the ones whose artifact is a single run
-    #: simply ignore them.
+    #: fn(n_runs, seed, **run_opts) -> object with a .render() method.
+    #: *run_opts* are :func:`repro.parallel.run_specs`' execution options
+    #: (workers, cache, supervision, resume), forwarded to every campaign
+    #: the artifact runs; the ones whose artifact is a single run simply
+    #: ignore them.
     run: Callable[..., object]
 
 
-def _fig1(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _fig1(n_runs: int, seed: int, **run_opts):
     from repro.experiments.figures import figure1
 
     return figure1(seed=seed)
 
 
-def _fig2(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _fig2(n_runs: int, seed: int, **run_opts):
     from repro.experiments.figures import figure2
 
-    return figure2(n_runs, seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                   supervise=supervise, resume=resume)
+    return figure2(n_runs, seed=seed, **run_opts)
 
 
-def _fig3(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _fig3(n_runs: int, seed: int, **run_opts):
     from repro.experiments.figures import figure3
 
-    return figure3(n_runs, seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                   supervise=supervise, resume=resume)
+    return figure3(n_runs, seed=seed, **run_opts)
 
 
-def _fig4(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _fig4(n_runs: int, seed: int, **run_opts):
     from repro.experiments.figures import figure4
 
-    return figure4(n_runs, seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                   supervise=supervise, resume=resume)
+    return figure4(n_runs, seed=seed, **run_opts)
 
 
-def _tab1a(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _tab1a(n_runs: int, seed: int, **run_opts):
     from repro.experiments.tables import table1
 
-    return table1(
-        "stock", n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return table1("stock", n_runs=n_runs, base_seed=seed, **run_opts)
 
 
-def _tab1b(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _tab1b(n_runs: int, seed: int, **run_opts):
     from repro.experiments.tables import table1
 
-    return table1(
-        "hpl", n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return table1("hpl", n_runs=n_runs, base_seed=seed, **run_opts)
 
 
-def _tab2(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _tab2(n_runs: int, seed: int, **run_opts):
     from repro.experiments.tables import table2
 
-    return table2(n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                  supervise=supervise, resume=resume)
+    return table2(n_runs=n_runs, base_seed=seed, **run_opts)
 
 
-def _policy(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _policy(n_runs: int, seed: int, **run_opts):
     from repro.experiments.tables import policy_comparison
 
-    return policy_comparison(
-        "ep", "A", n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return policy_comparison("ep", "A", n_runs=n_runs, base_seed=seed, **run_opts)
 
 
 class _ResonanceResult:
@@ -113,8 +92,7 @@ class _ResonanceResult:
         return "\n".join(lines)
 
 
-def _resonance(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _resonance(n_runs: int, seed: int, **run_opts):
     from repro.cluster.resonance import spare_core_comparison
 
     curves = spare_core_comparison([1, 8, 64, 512, 4096], seed=seed)
@@ -133,8 +111,7 @@ class _MultinodeResult:
         return "\n".join(lines)
 
 
-def _multinode(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _multinode(n_runs: int, seed: int, **run_opts):
     from repro.apps.spmd import Program
     from repro.cluster.multinode import run_cluster_job
     from repro.units import msecs
@@ -161,48 +138,31 @@ class _DecompositionResult:
         return "\n".join(lines)
 
 
-def _resilience(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _resilience(n_runs: int, seed: int, **run_opts):
     from repro.experiments.resilience import resilience_campaign
 
-    return resilience_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return resilience_campaign(n_runs=n_runs, base_seed=seed, **run_opts)
 
 
-def _cluster_resilience(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _cluster_resilience(n_runs: int, seed: int, **run_opts):
     from repro.experiments.resilience import cluster_resilience_campaign
 
-    return cluster_resilience_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return cluster_resilience_campaign(n_runs=n_runs, base_seed=seed, **run_opts)
 
 
-def _two_level(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _two_level(n_runs: int, seed: int, **run_opts):
     from repro.experiments.twolevel import two_level_campaign
 
-    return two_level_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return two_level_campaign(n_runs=n_runs, base_seed=seed, **run_opts)
 
 
-def _batch_resilience(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _batch_resilience(n_runs: int, seed: int, **run_opts):
     from repro.experiments.batchres import batch_resilience_campaign
 
-    return batch_resilience_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return batch_resilience_campaign(n_runs=n_runs, base_seed=seed, **run_opts)
 
 
-def _decomposition(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _decomposition(n_runs: int, seed: int, **run_opts):
     from repro.analysis.decomposition import decompose_nas_noise
 
     rows = []

@@ -95,23 +95,16 @@ def generate_report(
     n_runs: int = 40,
     seed: int = 7,
     benches=BENCH_ORDER,
-    *,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> str:
     """Run everything; return the markdown report.
 
     ``benches`` restricts the table sections (tests use a subset; the full
-    report uses all twelve configurations).  ``n_jobs``/``use_cache`` fan the
-    underlying campaigns across workers and consult the on-disk result cache
-    — the report text is identical either way.
+    report uses all twelve configurations).  *run_opts* are the underlying
+    campaigns' execution options (workers, result cache, supervision,
+    resume) — the report text is identical whatever they are.
     """
-    cache = CampaignCache(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    cache = CampaignCache(n_runs=n_runs, base_seed=seed, **run_opts)
 
     out: List[str] = []
     w = out.append
@@ -152,8 +145,7 @@ def generate_report(
 
     # ------------------------------------------------------------- fig 2/3/4
     fig2 = figure2(
-        n_runs=max(60, n_runs), seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
+        n_runs=max(60, n_runs), seed=seed, **run_opts,
     )
     w("## Figure 2 — ep.A.8 distribution, stock Linux")
     w("")
@@ -186,8 +178,7 @@ def generate_report(
     w("")
 
     fig4 = figure4(
-        n_runs=max(60, n_runs), seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
+        n_runs=max(60, n_runs), seed=seed, **run_opts,
     )
     w("## Figure 4 — ep.A.8 under the RT scheduler")
     w("")

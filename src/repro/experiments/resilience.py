@@ -141,17 +141,13 @@ def resilience_campaign(
     n_iters: int = 10,
     iter_work: int = msecs(20),
     nprocs: Optional[int] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> ResilienceResult:
     """Run the 0/1/2-cores-offline comparison on the js22 preset.
 
-    *n_jobs*/*use_cache* fan each cell's repetitions across workers and
-    consult the campaign result cache (see :mod:`repro.parallel`);
-    *supervise*/*resume* configure the supervised layer (journal-lenient,
-    like every multi-campaign driver)."""
+    *run_opts* are every cell's execution options (workers, result cache,
+    supervision, resume — see :func:`repro.parallel.run_specs`), applied
+    journal-lenient like every multi-campaign driver."""
     machine = power6_js22()
     if nprocs is None:
         nprocs = machine.n_cpus
@@ -169,8 +165,7 @@ def resilience_campaign(
     for regime in ("stock", "hpl"):
         baseline = run_campaign(
             factory, nprocs, regime, n_runs, base_seed=base_seed,
-            n_jobs=n_jobs, use_cache=use_cache,
-            supervise=supervise, resume=resume, resume_missing_ok=True,
+            resume_missing_ok=True, **run_opts,
         )
         base_row = _row(regime, 0, [], baseline)
         rows.append(base_row)
@@ -192,8 +187,7 @@ def resilience_campaign(
             campaign = run_campaign(
                 factory, nprocs, regime, n_runs,
                 base_seed=base_seed, fault_plan=plan,
-                n_jobs=n_jobs, use_cache=use_cache,
-                supervise=supervise, resume=resume, resume_missing_ok=True,
+                resume_missing_ok=True, **run_opts,
             )
             row = _row(regime, k, cpus, campaign)
             row._slowdown = row.mean_s / base_row.mean_s
@@ -296,18 +290,16 @@ def cluster_resilience_campaign(
     n_iters: int = 10,
     iter_work: int = msecs(20),
     regimes: Optional[List[str]] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> ClusterResilienceResult:
     """The cluster fault-domain table: stock vs HPL vs RT under node
     crash (failover and shrink-to-fit), a straggler node, and a degraded
     interconnect.
 
     Every cell runs through :func:`run_cluster_campaign` — the cached,
-    supervised campaign pipeline — so repetitions parallelize, cache, and
-    resume exactly like the single-node campaigns.  Every crash cell must
+    supervised campaign pipeline, with *run_opts* as its execution options
+    — so repetitions parallelize, cache, and resume exactly like the
+    single-node campaigns.  Every crash cell must
     *complete*: a cluster that fails to recover raises instead of quietly
     producing a row, so "done N/N" is an invariant.
     """
@@ -379,9 +371,9 @@ def cluster_resilience_campaign(
                 base_seed=base_seed,
                 nprocs_per_node=nprocs_per_node,
                 label=f"cresil-{scenario}",
-                n_jobs=n_jobs, use_cache=use_cache,
-                supervise=supervise, resume=resume, resume_missing_ok=True,
+                resume_missing_ok=True,
                 **scenarios[scenario],
+                **run_opts,
             )
             row = _cluster_row(regime, scenario, campaign, base_mean)
             if scenario == "baseline":

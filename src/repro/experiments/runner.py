@@ -532,18 +532,10 @@ def run_campaign(
     cold_speed: Optional[float] = None,
     rewarm_scale: float = 1.0,
     label: str = "",
-    provenance_path: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
     fault_plan_factory: Optional[Callable[[int, int], FaultPlan]] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    supervise: Optional["SupervisorConfig"] = None,
-    resume: bool = False,
-    resume_missing_ok: bool = False,
-    telemetry: Optional["CampaignTelemetry"] = None,
+    **run_opts,
 ) -> CampaignResult:
     """Run *n_runs* independent repetitions.
 
@@ -554,14 +546,12 @@ def run_campaign(
     recovery metrics), so faulted and fault-free campaigns remain
     distinguishable in the audit trail forever.
 
-    Execution goes through :func:`repro.parallel.run_specs`, which
-    documents the shared keywords: *provenance_path* (streamed JSONL plus
-    a ``.meta.json`` sidecar), *n_jobs* (``None`` = all CPUs, ``1`` = the
-    in-process serial loop), *use_cache*/*cache_dir*, *progress*,
-    *supervise* (timeouts, retry, ``allow_partial``),
-    *resume*/*resume_missing_ok* and *telemetry*.  Every output is
-    byte-identical whatever *n_jobs* is, across cache-warm resume, and
-    with telemetry on or off.
+    *run_opts* are the execution options, forwarded unchanged to
+    :func:`repro.parallel.run_specs`, which declares and documents them:
+    *provenance_path*, *n_jobs*, *use_cache*/*cache_dir*, *progress*,
+    *supervise*, *resume*/*resume_missing_ok* and *telemetry*.  Every
+    output is byte-identical whatever *n_jobs* is, across cache-warm
+    resume, and with telemetry on or off.
     """
     from repro.obs.provenance import run_record
     from repro.parallel.engine import run_specs
@@ -605,15 +595,7 @@ def run_campaign(
             label=bench,
             regime=regime,
             base_seed=base_seed,
-            provenance_path=provenance_path,
-            n_jobs=n_jobs,
-            use_cache=use_cache,
-            cache_dir=cache_dir,
-            progress=progress,
-            supervise=supervise,
-            resume=resume,
-            resume_missing_ok=resume_missing_ok,
-            telemetry=telemetry,
+            **run_opts,
         )
     )
 
@@ -627,21 +609,13 @@ def run_nas_campaign(
     base_seed: int = 0,
     noise: Optional[NoiseProfile] = None,
     kernel_config: Optional[KernelConfig] = None,
-    provenance_path: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
     fault_plan_factory: Optional[Callable[[int, int], FaultPlan]] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    supervise: Optional["SupervisorConfig"] = None,
-    resume: bool = False,
-    resume_missing_ok: bool = False,
-    telemetry: Optional["CampaignTelemetry"] = None,
+    **run_opts,
 ) -> CampaignResult:
     """The paper's unit of measurement: N runs of one NAS benchmark under
-    one regime (paper: N=1000)."""
+    one regime (paper: N=1000).  *run_opts* go to :func:`run_campaign`."""
     spec = nas_spec(name, klass)
 
     def factory() -> Program:
@@ -658,18 +632,10 @@ def run_nas_campaign(
         cold_speed=spec.cold_speed,
         rewarm_scale=spec.rewarm_scale,
         label=spec.label,
-        provenance_path=provenance_path,
         fault_plan=fault_plan,
         fault_plan_factory=fault_plan_factory,
         fault_tolerance=fault_tolerance,
-        n_jobs=n_jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        progress=progress,
-        supervise=supervise,
-        resume=resume,
-        resume_missing_ok=resume_missing_ok,
-        telemetry=telemetry,
+        **run_opts,
     )
 
 
@@ -785,7 +751,6 @@ def build_cluster_specs(
     *,
     base_seed: int = 0,
     nprocs_per_node: int = 8,
-    machine_factory: Callable[[], Machine] = power6_js22,
     machine_factories: Optional[List[Callable[[], Machine]]] = None,
     noise: Optional[NoiseProfile] = None,
     internode_latency: int = 30,
@@ -858,7 +823,6 @@ def run_cluster_campaign(
     *,
     base_seed: int = 0,
     nprocs_per_node: int = 8,
-    machine_factory: Callable[[], Machine] = power6_js22,
     machine_factories: Optional[List[Callable[[], Machine]]] = None,
     noise: Optional[NoiseProfile] = None,
     internode_latency: int = 30,
@@ -869,15 +833,7 @@ def run_cluster_campaign(
     tolerance: Optional[ClusterTolerance] = None,
     spare_nodes: int = 0,
     label: str = "",
-    provenance_path: Optional[str] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    supervise: Optional["SupervisorConfig"] = None,
-    resume: bool = False,
-    resume_missing_ok: bool = False,
-    telemetry: Optional["CampaignTelemetry"] = None,
+    **run_opts,
 ) -> ClusterCampaignResult:
     """Run *n_runs* independent multi-node repetitions.
 
@@ -885,7 +841,8 @@ def run_cluster_campaign(
     (:func:`repro.parallel.run_specs`) — supervised execution, the content-
     addressed result cache, journal/resume, streaming telemetry — so every
     invariant that holds for single-node campaigns (bit-identical results
-    at any ``--jobs``, cache soundness, auditable holes) holds here too.
+    at any ``--jobs``, cache soundness, auditable holes) holds here too;
+    *run_opts* are that driver's execution options, forwarded unchanged.
     Provenance records use :func:`~repro.obs.provenance.cluster_run_record`
     (``kind: "cluster"``); faulted repetitions additionally bump the
     ``cluster.detections`` / ``cluster.restarts`` / ``cluster.failovers``
@@ -902,7 +859,6 @@ def run_cluster_campaign(
         n_runs,
         base_seed=base_seed,
         nprocs_per_node=nprocs_per_node,
-        machine_factory=machine_factory,
         machine_factories=machine_factories,
         noise=noise,
         internode_latency=internode_latency,
@@ -932,14 +888,6 @@ def run_cluster_campaign(
             label=bench,
             regime=regime,
             base_seed=base_seed,
-            provenance_path=provenance_path,
-            n_jobs=n_jobs,
-            use_cache=use_cache,
-            cache_dir=cache_dir,
-            progress=progress,
-            supervise=supervise,
-            resume=resume,
-            resume_missing_ok=resume_missing_ok,
-            telemetry=telemetry,
+            **run_opts,
         )
     )

@@ -12,6 +12,8 @@ the "would HPL still matter if..." questions a reader asks:
   context-switch asymmetry's sensitivity).
 
 Each returns a list of :class:`SweepPoint` and renders as a text table.
+Extra keywords are the campaigns' execution options
+(:func:`repro.parallel.run_specs`), forwarded to every point.
 """
 
 from __future__ import annotations
@@ -102,10 +104,7 @@ def _campaign_point(
     machine_factory: Optional[Callable[[], Machine]] = None,
     bench: str = "is",
     klass: str = "A",
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> SweepPoint:
     from repro.experiments.runner import run_campaign
 
@@ -125,11 +124,8 @@ def _campaign_point(
         noise=noise,
         cold_speed=spec.cold_speed,
         rewarm_scale=spec.rewarm_scale,
-        n_jobs=n_jobs,
-        use_cache=use_cache,
-        supervise=supervise,
-        resume=resume,
         resume_missing_ok=True,
+        **run_opts,
     )
     times = summarize(campaign.app_times_s())
     return SweepPoint(
@@ -153,10 +149,7 @@ def noise_intensity_sweep(
     base_seed: int = 0,
     bench: str = "is",
     klass: str = "A",
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> SweepResult:
     """Stock vs HPL across noise-activity multipliers."""
     base = cluster_node_profile()
@@ -168,8 +161,7 @@ def noise_intensity_sweep(
                 _campaign_point(
                     factor, regime, n_runs, base_seed,
                     noise=profile, bench=bench, klass=klass,
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
+                    **run_opts,
                 )
             )
     return SweepResult("noise intensity", "activity x", tuple(points))
@@ -180,10 +172,7 @@ def smt_factor_sweep(
     *,
     n_runs: int = 8,
     base_seed: int = 0,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> SweepResult:
     """Vary the second-thread throughput factor of the js22 model.
 
@@ -211,8 +200,7 @@ def smt_factor_sweep(
                     factor, regime, n_runs, base_seed,
                     machine_factory=machine_factory,
                     program_factory=lambda p=reference_program: p,
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
+                    **run_opts,
                 )
             )
     return SweepResult("SMT co-run throughput", "factor", tuple(points))
@@ -223,10 +211,7 @@ def spin_threshold_sweep(
     *,
     n_runs: int = 8,
     base_seed: int = 0,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> SweepResult:
     """Vary the MPI library's spin budget on a fine-grained benchmark."""
     spec = nas_spec("is", "A")
@@ -249,8 +234,7 @@ def spin_threshold_sweep(
                 _campaign_point(
                     float(threshold), regime, n_runs, base_seed,
                     program_factory=factory,
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
+                    **run_opts,
                 )
             )
     return SweepResult("MPI spin threshold", "threshold us", tuple(points))

@@ -39,32 +39,19 @@ BENCH_ORDER: Tuple[Tuple[str, str], ...] = (
 class CampaignCache:
     """Memoizes campaigns so Table Ia and Table II (etc.) share runs.
 
-    In-memory and per-process; *n_jobs*/*use_cache* additionally fan each
-    campaign across workers and consult the on-disk result cache
-    (:mod:`repro.parallel.cache`) when a campaign does have to run;
-    *supervise*/*resume* configure the supervised execution layer
-    (timeouts, retry, journal replay — lenient about missing journals,
-    since a multi-table invocation may never have reached some campaigns).
+    In-memory and per-process.  *run_opts* are the execution options of
+    :func:`repro.parallel.run_specs` (workers, on-disk result cache,
+    supervision, resume), applied to every campaign that does have to run
+    — lenient about missing journals, since a multi-table invocation may
+    never have reached some campaigns.
     """
 
-    def __init__(
-        self,
-        n_runs: int,
-        base_seed: int = 0,
-        *,
-        n_jobs: Optional[int] = 1,
-        use_cache: bool = False,
-        supervise=None,
-        resume: bool = False,
-    ) -> None:
+    def __init__(self, n_runs: int, base_seed: int = 0, **run_opts) -> None:
         if n_runs < 2:
             raise ValueError("campaigns need at least 2 runs")
         self.n_runs = n_runs
         self.base_seed = base_seed
-        self.n_jobs = n_jobs
-        self.use_cache = use_cache
-        self.supervise = supervise
-        self.resume = resume
+        self.run_opts = run_opts
         self._cache: Dict[Tuple[str, str, str], CampaignResult] = {}
 
     def get(self, name: str, klass: str, regime: str) -> CampaignResult:
@@ -72,9 +59,7 @@ class CampaignCache:
         if key not in self._cache:
             self._cache[key] = run_nas_campaign(
                 name, klass, regime, self.n_runs, base_seed=self.base_seed,
-                n_jobs=self.n_jobs, use_cache=self.use_cache,
-                supervise=self.supervise, resume=self.resume,
-                resume_missing_ok=True,
+                resume_missing_ok=True, **self.run_opts,
             )
         return self._cache[key]
 
@@ -137,16 +122,13 @@ def table1(
     n_runs: int = 50,
     base_seed: int = 0,
     benches: Sequence[Tuple[str, str]] = BENCH_ORDER,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> Table1:
-    """Regenerate Table Ia (``regime="stock"``) or Ib (``regime="hpl"``)."""
-    cache = cache or CampaignCache(
-        n_runs, base_seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    """Regenerate Table Ia (``regime="stock"``) or Ib (``regime="hpl"``).
+
+    *run_opts* configure the :class:`CampaignCache` built when none is
+    given."""
+    cache = cache or CampaignCache(n_runs, base_seed, **run_opts)
     rows: List[SchedulerNoiseRow] = []
     for name, klass in benches:
         campaign = cache.get(name, klass, regime)
@@ -228,16 +210,11 @@ def table2(
     n_runs: int = 50,
     base_seed: int = 0,
     benches: Sequence[Tuple[str, str]] = BENCH_ORDER,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> Table2:
-    """Regenerate Table II (runs — or reuses — both kernels' campaigns)."""
-    cache = cache or CampaignCache(
-        n_runs, base_seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    """Regenerate Table II (runs — or reuses — both kernels' campaigns);
+    *run_opts* as for :func:`table1`."""
+    cache = cache or CampaignCache(n_runs, base_seed, **run_opts)
     rows: List[ExecutionTimeRow] = []
     for name, klass in benches:
         stock = cache.get(name, klass, "stock")
@@ -299,17 +276,14 @@ def policy_comparison(
     n_runs: int = 50,
     base_seed: int = 0,
     regimes: Sequence[str] = ("stock", "nice", "rt", "pinned", "hpl"),
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> PolicyComparison:
-    """Run one benchmark under every §IV regime."""
+    """Run one benchmark under every §IV regime (*run_opts*: the campaigns'
+    execution options)."""
     campaigns = {
         regime: run_nas_campaign(
             name, klass, regime, n_runs, base_seed=base_seed,
-            n_jobs=n_jobs, use_cache=use_cache,
-            supervise=supervise, resume=resume, resume_missing_ok=True,
+            resume_missing_ok=True, **run_opts,
         )
         for regime in regimes
     }

@@ -108,17 +108,15 @@ def two_level_campaign(
     regimes: Optional[List[str]] = None,
     policies: Optional[List[str]] = None,
     runtime_model: str = "sim",
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **run_opts,
 ) -> TwoLevelResult:
     """Cross batch policies with node-level regimes over seeded job traces.
 
     Every cell runs through :func:`~repro.batch.campaign.run_batch_campaign`
-    — the cached, supervised pipeline — so repetitions parallelize, cache
-    and resume exactly like node-level campaigns (journal-lenient, like
-    every multi-campaign driver).
+    — the cached, supervised pipeline, with *run_opts* as its execution
+    options — so repetitions parallelize, cache and resume exactly like
+    node-level campaigns (journal-lenient, like every multi-campaign
+    driver).
     """
     from repro.batch.campaign import run_batch_campaign
     from repro.batch.workload import WorkloadConfig
@@ -143,8 +141,8 @@ def two_level_campaign(
                 workload=workload,
                 runtime_model=runtime_model,
                 label=f"two-level-{policy}",
-                n_jobs=n_jobs, use_cache=use_cache,
-                supervise=supervise, resume=resume, resume_missing_ok=True,
+                resume_missing_ok=True,
+                **run_opts,
             )
             responses = [
                 mean(o.response for o in r.jobs) for r in campaign.results

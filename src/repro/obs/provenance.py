@@ -173,9 +173,7 @@ def batch_run_record(
         "queue_depth_peak": result.queue_depth_peak,
         "head_delays": result.head_delays,
     }
-    # getattr: results unpickled from a pre-fault-universe cache lack the
-    # new fields; they are by definition unarmed, so the record is too.
-    if getattr(result, "fault_plan_digest", None) is not None:
+    if result.fault_plan_digest is not None:
         record["faults"] = {
             "plan_digest": result.fault_plan_digest,
             "requeues": result.requeues,

@@ -14,6 +14,12 @@ the rules every kind shares, written once:
   sidecar with the execution metadata;
 * the ``campaign_started``/``campaign_finished`` telemetry bracket.
 
+Its keyword-only execution options — ``provenance_path``, ``n_jobs``,
+``use_cache``, ``cache_dir``, ``progress``, ``supervise``, ``resume``,
+``resume_missing_ok`` and ``telemetry`` — are declared here and nowhere
+else: the campaign functions, experiments, registry and CLI above it
+forward them unchanged as ``**run_opts``.
+
 Execution itself — ordering, timeouts, retry, pool health, journal lines —
 is :func:`repro.parallel.supervisor.supervise_campaign`'s, and a
 repetition that finally fails surfaces as :class:`CampaignRunError`

@@ -41,7 +41,6 @@ __all__ = [
     "MODEL_PACKAGES",
     "machine_fingerprint",
     "model_epoch",
-    "spec_fingerprint",
     "stable_digest",
 ]
 
@@ -169,12 +168,6 @@ class RunSpec:
     def digest(self) -> str:
         """Stable 32-hex content key (the cache key) for this spec."""
         return stable_digest(self.fingerprint())
-
-
-def spec_fingerprint(spec: RunSpec) -> Dict[str, object]:
-    """Module-level alias of :meth:`RunSpec.fingerprint` (introspection,
-    tests)."""
-    return spec.fingerprint()
 
 
 @dataclass(frozen=True)

@@ -150,3 +150,41 @@ def test_resume_without_cache_rejected(tmp_path):
 
     with pytest.raises(NoJournalError):
         _run(str(tmp_path), use_cache=False, resume=True)
+
+
+#: BatchResult fields added with the fault universe; each has a default.
+_FAULT_FIELDS = ("requeues", "preempts", "drains", "node_fails", "failed",
+                 "node_lost_us", "busy_node_us", "fault_plan_digest")
+
+
+def test_results_pickled_without_fault_fields_read_defaults(tmp_path):
+    """A BatchResult cached before the fault universe unpickles with its
+    defaulted fields read from the class, so campaign totals, telemetry
+    and provenance need no per-field fallbacks."""
+    import pickle
+
+    from repro.batch.campaign import _count_schedule
+    from repro.batch.dispatcher import BatchResult
+    from repro.parallel.engine import RunRecord
+
+    _, campaign = _run(str(tmp_path))
+    fresh = campaign.results[0]
+    stale = BatchResult.__new__(BatchResult)
+    stale.__dict__.update(
+        {k: v for k, v in vars(fresh).items() if k not in _FAULT_FIELDS}
+    )
+    old = pickle.loads(pickle.dumps(stale))
+    assert not set(_FAULT_FIELDS) & set(vars(old))
+
+    totals = BatchCampaignResult(
+        label="old", policy="easy", regime="stock", results=[old]
+    )
+    assert totals.total_requeues() == 0
+    assert totals.total_preempts() == 0
+    assert totals.total_failed() == 0
+    assert totals.total_node_lost_us() == 0.0
+    assert (batch_run_record(old, bench="t", run_index=0, seed=1)
+            == batch_run_record(fresh, bench="t", run_index=0, seed=1))
+    tel = CampaignTelemetry()
+    _count_schedule(RunRecord(0, 1, "d", old), tel)
+    assert tel.registry.counter("batch.requeues").value == 0

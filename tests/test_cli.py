@@ -120,10 +120,27 @@ def test_trace_unwritable_output(tmp_path, capsys):
     assert "error: cannot write -o" in capsys.readouterr().err
 
 
-def test_run_unknown_benchmark(capsys):
-    rc = main(["run", "zz", "A"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["stat"],
+        ["latency"],
+        ["trace"],
+        ["campaign"],
+        ["faults"],
+        ["faults", "--cluster"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_unknown_benchmark_exits_2(argv, capsys):
+    """Every single-benchmark subcommand rejects an unknown benchmark with
+    a one-line error and exit 2, before any simulation runs."""
+    rc = main(argv[:1] + ["zz", "A"] + argv[1:])
     assert rc == 2
-    assert "unknown benchmark" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown benchmark" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 # ------------------------------------------------------------ faults command
@@ -159,12 +176,6 @@ def test_faults_crash_rank_restart(capsys):
     assert "rank crashes    : 1" in out
     assert "restarts        : 1" in out
     assert "completed       : yes" in out
-
-
-def test_faults_unknown_benchmark(capsys):
-    rc = main(["faults", "zz", "A"])
-    assert rc == 2
-    assert "unknown benchmark" in capsys.readouterr().err
 
 
 def test_faults_watchdog_reports(capsys):

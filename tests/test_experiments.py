@@ -184,3 +184,77 @@ def test_registry_lookup():
 def test_registry_experiments_render():
     result = get_experiment("fig1").run(2, 0)
     assert isinstance(result.render(), str)
+
+
+# ------------------------------------------------- execution-option forwarding
+
+#: Registry entries whose artifact is one run, not a campaign.
+SINGLE_RUN = ("fig1", "resonance", "multinode", "decompose")
+
+
+class _Forwarded(Exception):
+    """Raised by the patched driver once it has seen a campaign's keywords."""
+
+
+@pytest.fixture
+def driver_calls(monkeypatch, tmp_path):
+    """Patch :func:`repro.parallel.engine.run_specs` to record each call's
+    keywords and stop the regenerator at its first campaign."""
+    import repro.parallel.engine as engine
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    calls = []
+
+    def recording_driver(specs, execute, to_record, on_result=None, **kw):
+        calls.append(kw)
+        raise _Forwarded
+
+    monkeypatch.setattr(engine, "run_specs", recording_driver)
+    return calls
+
+
+def _run_opts():
+    return dict(n_jobs=3, use_cache=True, supervise=object(), resume=True)
+
+
+def _assert_forwarded(calls, opts):
+    assert len(calls) == 1
+    for key, value in opts.items():
+        assert calls[0][key] is value, key
+    assert calls[0]["resume_missing_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "exp_id", sorted(set(EXPERIMENTS) - set(SINGLE_RUN))
+)
+def test_campaign_experiments_forward_run_opts(exp_id, driver_calls):
+    """A dropped forward would silently ignore --jobs/--no-cache/--resume;
+    every campaign-running artifact must hand them to the driver as given."""
+    opts = _run_opts()
+    with pytest.raises(_Forwarded):
+        get_experiment(exp_id).run(2, 0, **opts)
+    _assert_forwarded(driver_calls, opts)
+
+
+@pytest.mark.parametrize("exp_id", SINGLE_RUN)
+def test_single_run_experiments_accept_run_opts(exp_id, driver_calls):
+    result = get_experiment(exp_id).run(2, 0, **_run_opts())
+    assert isinstance(result.render(), str)
+    assert driver_calls == []
+
+
+@pytest.mark.parametrize("which", ["sweep", "report", "export"])
+def test_other_regenerators_forward_run_opts(which, driver_calls, tmp_path):
+    from repro.experiments.export import export_figures
+    from repro.experiments.report import generate_report
+    from repro.experiments.sweeps import spin_threshold_sweep
+
+    regenerate = {
+        "sweep": lambda **o: spin_threshold_sweep(n_runs=2, **o),
+        "report": lambda **o: generate_report(2, 0, **o),
+        "export": lambda **o: export_figures(tmp_path / "out", n_runs=2, **o),
+    }[which]
+    opts = _run_opts()
+    with pytest.raises(_Forwarded):
+        regenerate(**opts)
+    _assert_forwarded(driver_calls, opts)

@@ -72,6 +72,34 @@ def test_restart_without_checkpoints_restarts_from_scratch():
     assert app._checkpoint_pos == -1  # never checkpointed: full rollback
 
 
+def test_restart_after_early_exits_recounts_every_rank():
+    # Rank 0 runs behind and crashes after its peers have already exited;
+    # the rollback respawns all four, so all four must exit again.
+    ft = FaultTolerance(mode="restart", detection_timeout=2_000,
+                        checkpoint_every=2, restart_cost=500)
+    kernel, app = _app(ft, n_iters=1)
+    exited_before_crash = []
+
+    def crash_straggler():
+        exited_before_crash.append(app.stats.ranks_exited)
+        assert app.crash_rank(0)
+
+    def watch():
+        if app.stats.ranks_exited > 0:
+            crash_straggler()
+        else:
+            kernel.sim.after(1, watch)
+
+    kernel.sim.after(1, watch)
+    kernel.sim.run_until(60_000_000)
+    assert exited_before_crash and exited_before_crash[0] > 0
+    assert app.done and not app.stats.aborted
+    assert app.stats.restarts == 1
+    assert app.stats.ranks_exited == app.nprocs
+    assert app.stats.finished_at is not None
+    assert all(not r.task.alive for r in app.ranks)
+
+
 def test_max_restarts_falls_back_to_abort():
     ft = FaultTolerance(mode="restart", detection_timeout=2_000,
                         checkpoint_every=1, restart_cost=500, max_restarts=1)
