@@ -6,7 +6,9 @@ The suite measures the per-event hot path at three granularities:
   churn, the raw ``run_until`` dispatch loop, and the warmth model's
   work→time inversion (the top profile entries of a NAS campaign);
 * **macro** — single simulated NAS executions (``cg.B`` stock and HPL,
-  ``lu.A``, ``is.A``) reported as simulator events per wall second;
+  ``lu.A``, ``is.A``) reported as runs per wall second, with the run's
+  event count recorded beside the score (unscored: a change that fires
+  fewer events for the same result must not read as a slowdown);
 * **campaign** — a small serial ``is.A`` campaign with provenance on,
   the unit of work every table/figure regeneration multiplies;
 * **batch** — the batch dispatcher alone: one 1k-job backlog trace
@@ -171,12 +173,16 @@ def micro_warmth_invert(reps: int = DEFAULT_REPS) -> Dict[str, float]:
 def _macro_nas(
     app: str, klass: str, regime: str, reps: int, inner: int = 1
 ) -> Dict[str, float]:
-    """One NAS execution as events per wall second.
+    """One NAS execution as runs per wall second.
 
     *inner* > 1 aggregates that many back-to-back executions into a
-    single measurement (total events / total seconds): a sub-20ms run
-    like ``is.A`` is pure scheduling-noise lottery on a shared host, and
-    no best-of can gate it at a 15% tolerance — a few runs per rep can.
+    single measurement (runs / total seconds): a sub-20ms run like
+    ``is.A`` is pure scheduling-noise lottery on a shared host, and no
+    best-of can gate it at a 15% tolerance — a few runs per rep can.
+
+    ``events`` (simulator events of one execution) is reported but not
+    scored: events per second would punish a change that reaches the
+    same result with fewer events.
     """
     from repro.apps.nas import nas_program, nas_spec
     from repro.experiments.runner import _run_job
@@ -185,8 +191,10 @@ def _macro_nas(
     machine = power6_js22()
     spec = nas_spec(app, klass)
 
+    events = 0
+
     def run() -> Tuple[float, float]:
-        events = 0
+        nonlocal events
         dt = 0.0
         for _ in range(inner):
             program = nas_program(spec, machine)
@@ -201,11 +209,11 @@ def _macro_nas(
                 rewarm_scale=spec.rewarm_scale,
             )
             dt += time.perf_counter() - t0
-            events += job.kernel.sim.events_processed
-        return events / dt, dt
+            events = job.kernel.sim.events_processed
+        return inner / dt, dt
 
     score, wall = _best_of(run, reps)
-    return {"score": score, "unit": "events/s", "wall_s": round(wall, 4)}
+    return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4), "events": events}
 
 
 def campaign_is_a(reps: int = DEFAULT_REPS, n_runs: int = 16) -> Dict[str, float]:
@@ -322,6 +330,13 @@ def compare(
     return failures
 
 
+def _score(metric: Dict[str, float]) -> str:
+    """A score in a 12-wide column: whole numbers, but two decimals for
+    the small runs/s scores of the NAS lanes."""
+    score = metric["score"]
+    return f"{score:12.0f}" if score >= 100 else f"{score:12.2f}"
+
+
 def diff(current: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
     """Per-suite comparison lines — **every** metric, not just regressions.
 
@@ -348,13 +363,13 @@ def diff(current: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
             continue
         if base is None:
             lines.append(
-                f"{name:24s} {cur['score']:12.0f} {cur.get('unit', ''):9s} (new metric)"
+                f"{name:24s} {_score(cur)} {cur.get('unit', ''):9s} (new metric)"
             )
             continue
         raw = cur["score"] / base["score"]
         norm = (cur["score"] / cur_calib) / (base["score"] / base_calib)
         lines.append(
-            f"{name:24s} {base['score']:12.0f} -> {cur['score']:12.0f} "
+            f"{name:24s} {_score(base)} -> {_score(cur)} "
             f"{cur.get('unit', ''):9s} raw {raw:5.2f}x  normalized {norm:5.2f}x"
         )
     return lines
@@ -363,8 +378,10 @@ def diff(current: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
 def format_report(doc: Dict[str, object]) -> str:
     lines = [f"calibration: {float(doc['calibration_ops_per_sec']):.0f} ops/s"]  # type: ignore[arg-type]
     for name, m in doc["metrics"].items():  # type: ignore[union-attr]
+        events = f"  events {m['events']}" if "events" in m else ""
         lines.append(
-            f"{name:24s} {m['score']:12.0f} {m.get('unit', ''):9s} wall {m['wall_s']:.4f}s"
+            f"{name:24s} {_score(m)} {m.get('unit', ''):9s} "
+            f"wall {m['wall_s']:.4f}s{events}"
         )
     return "\n".join(lines)
 

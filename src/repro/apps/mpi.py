@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.task import Task, TaskState
+from repro.sim.events import Event
 from repro.apps.spmd import Phase, PhaseKind, Program
 from repro.faults.tolerance import FaultTolerance
 
@@ -63,7 +64,7 @@ class AppStats:
 
 
 class _RankState:
-    __slots__ = ("index", "task", "pos", "spawn_kwargs")
+    __slots__ = ("index", "task", "pos", "spawn_kwargs", "spin_label", "spin_timeout")
 
     def __init__(self, index: int, task: Task) -> None:
         self.index = index
@@ -73,6 +74,11 @@ class _RankState:
         #: Scheduling template captured at first spawn so checkpoint/restart
         #: can respawn the rank with identical policy/priority/affinity.
         self.spawn_kwargs: Dict[str, object] = {}
+        #: Spin-timeout label, built once (a respawned task keeps the
+        #: rank's name).
+        self.spin_label = f"spin-to:{task.name}"
+        #: The pending spin-then-block timeout, cancelled at release.
+        self.spin_timeout: Optional[Event] = None
 
 
 class MpiApplication:
@@ -98,10 +104,17 @@ class MpiApplication:
         self.cold_speed = cold_speed
         self.rewarm_scale = rewarm_scale
         self.rng_label = rng_label
+        self._jitter_stream = f"{rng_label}.jitter"
         self.on_complete = on_complete
         self.fault_tolerance = fault_tolerance
         self.stats = AppStats()
         self.ranks: List[_RankState] = []
+        #: Rank index -> its segment-end handler, built once at spawn and
+        #: reused by every compute and arrival segment of every incarnation.
+        #: Held here, not on the rank: the kernel reaches ranks through
+        #: ``task.user_data``, and a finished run's kernel must not keep the
+        #: app alive.
+        self._segment_done_of: List[Callable[[], None]] = []
         #: sync phase position -> set of arrived rank indices
         self._arrivals: Dict[int, Set[int]] = {}
         #: Resilience state.  ``_epoch`` increments on every abort/restart so
@@ -217,7 +230,8 @@ class MpiApplication:
             if self.cold_speed is not None:
                 task.warmth.cold_speed = self.cold_speed
             task.warmth.rewarm_scale = self.rewarm_scale
-        task.on_segment_end = lambda r=rank: self._segment_done(r)
+        self._segment_done_of.append(lambda r=rank: self._segment_done(r))
+        task.on_segment_end = self._segment_done_of[index]
         self.ranks.append(rank)
         # fork is immediately followed by exec'ing the benchmark binary,
         # which gives the stock kernel a second (SD_BALANCE_EXEC) placement.
@@ -232,7 +246,7 @@ class MpiApplication:
             work *= self.work_scale
         if phase.jitter_sigma > 0:
             work *= self.kernel.sim.rng.lognormal(
-                f"{self.rng_label}.jitter", 0.0, phase.jitter_sigma
+                self._jitter_stream, 0.0, phase.jitter_sigma
             )
         return max(1, int(work))
 
@@ -259,15 +273,14 @@ class MpiApplication:
         if phase.kind == PhaseKind.COMPUTE:
             self.kernel.set_segment(
                 task, self._draw_work(phase, rank.index),
-                lambda r=rank: self._segment_done(r),
+                self._segment_done_of[rank.index],
             )
             if task.state == TaskState.SLEEPING:
                 self.kernel.wake(task)
         elif phase.kind == PhaseKind.SYNC:
             # Arrival costs a sliver of CPU (pack/progress the collective).
             self.kernel.set_segment(
-                task, max(1, phase.arrival_cost),
-                lambda r=rank: self._segment_done(r),
+                task, max(1, phase.arrival_cost), self._segment_done_of[rank.index]
             )
             if task.state == TaskState.SLEEPING:
                 self.kernel.wake(task)
@@ -333,13 +346,13 @@ class MpiApplication:
             # budget and this never fires; on a noisy stock node it fires
             # whenever one rank was delayed — idling CPUs and inviting the
             # balancer in, which is exactly the coupling §III measures.
-            self.kernel.sim.after(
+            rank.spin_timeout = self.kernel.sim.after(
                 phase.spin_threshold,
                 lambda r=rank, pos=sync_pos, e=self._epoch: self._spin_timeout(
                     r, pos, e
                 ),
                 priority=4,
-                label=f"spin-to:{rank.task.name}",
+                label=rank.spin_label,
             )
         else:
             self.kernel.block(rank.task)
@@ -377,6 +390,11 @@ class MpiApplication:
                 raise AssertionError(
                     f"rank {rank.index} at {rank.pos}, expected {sync_pos}"
                 )
+            # Past the release its spin timeout could only return early
+            # (the rank's pos moves on; a restart bumps the epoch).
+            if rank.spin_timeout is not None:
+                rank.spin_timeout.cancel()
+                rank.spin_timeout = None
         ft = self.fault_tolerance
         if ft is not None and ft.mode == "restart":
             self._sync_count += 1
@@ -574,6 +592,7 @@ class MpiApplication:
                 task.warmth.rewarm_scale = self.rewarm_scale
             rank.pos = checkpoint_pos
             task.on_segment_end = lambda r=rank: self._advance(r)
+            self._segment_done_of.append(lambda r=rank: self._segment_done(r))
             self.ranks.append(rank)
             self.kernel.sched_exec(task)
 

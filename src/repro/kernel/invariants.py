@@ -17,7 +17,11 @@ one of them, the invariants the paper's scheduler design rests on:
   double-enqueued (on two queues, or queued while running) across all run
   queues;
 * **monotone clocks** — per-task ``sum_exec_runtime`` and ``last_ran_at``
-  never go backwards.
+  never go backwards;
+* **armed timers** — before every event, each CPU whose running task has
+  work or a timeslice holds a live timer at or after the current instant,
+  and no segment-handler marker is left set (the scheduler core arms a
+  CPU timer once per handler run; see ``SchedCore._program``).
 
 Violations raise :class:`InvariantViolation` immediately, with the rule
 name, simulated time and CPU.  The supervised campaign layer
@@ -59,6 +63,8 @@ INVARIANT_RULES = (
     "no-lost-task",     # every RUNNABLE task is on exactly one queue
     "no-double-enqueue",  # no task on two queues, or queued while running
     "monotone-clock",   # per-task runtime accounting never goes backwards
+    "timer-armed",      # a running task with work or a slice has a live timer
+    "handler-cleared",  # no segment-handler marker survives its handler
 )
 
 
@@ -103,7 +109,8 @@ class SchedInvariantChecker:
     Attaches to ``switch_hooks``/``wakeup_hooks`` and the perf fabric's
     ``migration_observers`` so every pick, enqueue and migration is checked
     the moment it happens — not post-mortem, when the corrupting decision is
-    long gone.
+    long gone — and to the simulator's trace hooks, so the CPU timers are
+    audited before every event.
     """
 
     def __init__(self, kernel) -> None:
@@ -117,6 +124,7 @@ class SchedInvariantChecker:
         self.core.switch_hooks.append(self._on_switch)
         self.core.wakeup_hooks.append(self._on_wakeup)
         kernel.perf.migration_observers.append(self._on_migration)
+        kernel.sim.add_trace_hook(self._check_timers)
 
     # ------------------------------------------------------------- failures
 
@@ -172,6 +180,37 @@ class SchedInvariantChecker:
         self._check_books(picked=next_task)
 
     # ---------------------------------------------------------------- rules
+
+    def _check_timers(self, time: int, label: str) -> None:
+        """Fired (as a trace hook) before every event.  Between events no
+        segment handler is running, so no handler marker may be set, and
+        every CPU whose running task has work or a timeslice must hold a
+        live timer that has not fallen behind the clock (a lost arm would
+        leave that task running forever)."""
+        self.checks += 1
+        core = self.core
+        if core.handler_task is not None or core.handler_rq is not None:
+            self._fail(
+                "handler-cleared",
+                f"segment-handler marker for {core.handler_task!r} still set "
+                f"before event {label!r}",
+            )
+        for rq in core.rqs:
+            p = rq.curr
+            if p is None or p.is_idle:
+                continue
+            if p.spinning or p.remaining_work is None:
+                cls, queue, _ = rq._serving[p.policy]
+                if cls.task_slice(queue, p) is None:
+                    continue
+            event = rq.timer_event
+            if event is None or event.cancelled or event.time < time:
+                self._fail(
+                    "timer-armed",
+                    f"{p.name} (pid {p.pid}) runs with work or a slice but "
+                    f"its CPU timer is {event!r} before event {label!r}",
+                    cpu=rq.cpu_id,
+                )
 
     def _check_pick(self, cpu: int, picked: Task) -> None:
         """Class order + placement legality of the task about to run."""

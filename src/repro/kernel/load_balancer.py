@@ -282,8 +282,8 @@ class LoadBalancer:
         candidates: List[Task] = []
         for name in _BALANCED_CLASSES:
             queue = rq.queues.get(name)
-            if queue is None:
-                continue
+            if queue is None or not queue.nr_running:
+                continue  # nothing queued: skip building an empty list
             cls = rq._class_by_name[name]
             for task in cls.steal_candidates(queue):
                 if task.state == TaskState.RUNNABLE and task.allows_cpu(dst_cpu):

@@ -74,7 +74,9 @@ class CpuRunqueue:
         #: last had its accounting brought up to date.
         self.exec_start = 0
         #: The pending timer event for this CPU (slice expiry or segment
-        #: completion), owned by the scheduler core.
+        #: completion), owned by the scheduler core.  While a task's segment
+        #: handler runs, the core leaves that task's timer unarmed and arms
+        #: it once, after the handler returns.
         self.timer_event = None
         #: What the pending timer was armed for (``"complete"`` or
         #: ``"slice"``) — diagnostic state kept by the scheduler core.

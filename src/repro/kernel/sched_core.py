@@ -181,6 +181,12 @@ class SchedCore:
         self.preempt_hooks: List[Callable[[int, int, Task, str], None]] = []
 
         self._idle_tasks: List[Optional[Task]] = [None] * machine.n_cpus
+        #: The task whose segment handler is running, and the run queue it
+        #: completed on; both None outside :meth:`_on_cpu_timer`.  While
+        #: set, :meth:`_program` leaves that pair's timer to the single
+        #: re-arm that follows the handler.
+        self.handler_task: Optional[Task] = None
+        self.handler_rq: Optional[CpuRunqueue] = None
 
     # ------------------------------------------------------------ bootstrap
 
@@ -728,24 +734,31 @@ class SchedCore:
         ending in *on_end*."""
         if work < 0:
             raise ValueError("segment work cannot be negative")
-        if task.state == TaskState.RUNNING:
-            # Checkpoint under the *old* segment/spin state first.
-            self.update_curr(task.cpu)  # type: ignore[arg-type]
+        running = task.state == TaskState.RUNNING
+        if running:
+            # Checkpoint under the *old* segment/spin state first (inline
+            # guard as in _program: mostly already done this instant).
+            rq = self.rqs[task.cpu]  # type: ignore[index]
+            if rq.exec_start != self.sim.now:
+                self.update_curr(rq.cpu_id)
         task.remaining_work = work
         task.on_segment_end = on_end
         task.spinning = False
-        if task.state == TaskState.RUNNING:
-            self._program(self.rq_of(task))
+        if running:
+            self._program(rq)
 
     def set_spin(self, task: Task) -> None:
         """Put *task* into busy-wait mode (MPI progress loop)."""
-        if task.state == TaskState.RUNNING:
-            self.update_curr(task.cpu)  # type: ignore[arg-type]
+        running = task.state == TaskState.RUNNING
+        if running:
+            rq = self.rqs[task.cpu]  # type: ignore[index]
+            if rq.exec_start != self.sim.now:
+                self.update_curr(rq.cpu_id)
         task.remaining_work = None
         task.on_segment_end = None
         task.spinning = True
-        if task.state == TaskState.RUNNING:
-            self._program(self.rq_of(task))
+        if running:
+            self._program(rq)
 
     def charge_overhead(self, cpu_id: int, cost: int) -> None:
         """Charge *cost* µs of kernel bookkeeping to whatever runs on the
@@ -844,14 +857,26 @@ class SchedCore:
         """Re-arm the CPU's single timer for the earlier of segment
         completion and slice expiry.
 
-        The pending timer is always cancelled and re-armed, even when the
-        freshly computed ``(fire time, kind)`` matches it.  Keeping the
-        armed event would save two heap operations per no-op checkpoint but
-        is **not** semantics-preserving: a kept event retains its original
-        heap sequence number, so it would fire *before* any same-timestamp
-        same-priority event scheduled since — whereas re-arming gives the
-        timer the newest sequence number.  That reordering changes campaign
-        provenance (caught by the golden fixtures), so determinism wins."""
+        The result must be the event order that cancelling the pending
+        timer and scheduling a fresh one would give: the fresh event holds
+        the newest sequence number, so it fires *after* every same-instant,
+        same-priority event already pending.  Two shortcuts keep that order
+        exactly and skip the queue work:
+
+        * **Handler deferral.**  While :meth:`_on_cpu_timer` runs the
+          segment handler of ``rq.curr``, this returns right after the
+          accounting checkpoint: the re-arm after the handler returns is
+          the only one that can survive, because it cancels whatever the
+          handler would have armed for that task on that CPU.  The check is
+          keyed on the run queue *and* the task, so a task migrated by its
+          handler is still armed on its new CPU.
+        * **Newest-entry keep.**  When the pending timer already has the
+          computed ``(fire time, kind)`` and nothing was scheduled after it
+          (:meth:`EventQueue.is_newest`), it is kept.  Re-arming would only
+          give it a fresh sequence number, which sorts in the same place
+          against every live entry.  A kept timer that is *not* the newest
+          entry would fire before same-instant events scheduled after it,
+          so any other match is still cancelled and re-armed."""
         p = rq.curr
         if p is None or p.is_idle:
             event = rq.timer_event
@@ -866,6 +891,8 @@ class SchedCore:
         now = self.sim.now
         if rq.exec_start != now:
             self.update_curr(rq.cpu_id)
+        if p is self.handler_task and rq is self.handler_rq:
+            return
         t_fire = 0
         kind = ""
         remaining = p.remaining_work
@@ -904,17 +931,22 @@ class SchedCore:
                 f"runnable {p!r} has neither work nor slice nor spin — the "
                 "application layer must give every running task a segment"
             )
+        callback, label = self._timer_arm[rq.cpu_id][kind]
+        queue = self.sim.queue
         event = rq.timer_event
         if event is not None:
+            if (
+                event.time == t_fire
+                and event.callback is callback
+                and queue.is_newest(event)
+            ):
+                return
             event.cancel()
         rq.timer_kind = kind
         # Arm with the prebuilt callback/label; scheduling directly on the
         # queue is safe because t_fire > now by construction above (the
         # ``sim.at`` past-guard can never trip).
-        callback, label = self._timer_arm[rq.cpu_id][kind]
-        rq.timer_event = self.sim.queue.schedule(
-            t_fire, callback, priority=5, label=label
-        )
+        rq.timer_event = queue.schedule(t_fire, callback, priority=5, label=label)
 
     def _on_cpu_timer(self, cpu_id: int, kind: str) -> None:
         rq = self.rqs[cpu_id]
@@ -934,7 +966,15 @@ class SchedCore:
             p.on_segment_end = None
             if callback is None:
                 raise RuntimeError(f"{p!r} completed a segment with no handler")
-            callback()
+            # Defer every re-arm of (rq, p) the handler triggers to the
+            # one below (see _program).
+            self.handler_task = p
+            self.handler_rq = rq
+            try:
+                callback()
+            finally:
+                self.handler_task = None
+                self.handler_rq = None
             # The handler must have blocked/exited/re-segmented the task.
             if (
                 rq.curr is p

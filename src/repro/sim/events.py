@@ -180,6 +180,13 @@ class EventQueue:
             self._far.append(entry)
         return event
 
+    def is_newest(self, event: Event) -> bool:
+        """Whether *event* is pending here and nothing was scheduled after
+        it.  Rescheduling such an event at its own ``(time, priority)``
+        would only give it a fresh sequence number, which sorts in the same
+        place against every live entry — so a caller may keep it instead."""
+        return event._queue is self and event.seq == self._seq - 1
+
     # ------------------------------------------------------------- hot path
 
     def next_live(self) -> Optional[Event]:

@@ -45,6 +45,7 @@ def test_attach_sanitizer_respects_env(monkeypatch):
     assert k.sanitizer._on_switch in k.core.switch_hooks
     assert k.sanitizer._on_wakeup in k.core.wakeup_hooks
     assert k.sanitizer._on_migration in k.perf.migration_observers
+    assert k.sanitizer._check_timers in k.sim._trace_hooks
 
 
 # ---------------------------------------------------------------- clean runs
@@ -145,6 +146,49 @@ def test_class_order_violation(monkeypatch):
     with pytest.raises(InvariantViolation) as excinfo:
         checker._check_pick(0, low)  # ...but a CFS task is being picked
     assert excinfo.value.rule == "class-order"
+
+
+def _running_worker(checker: SchedInvariantChecker):
+    """Spawn a task with work on the checker's kernel; return its run queue."""
+    kernel = checker.kernel
+    task = kernel.spawn("worker", work=10_000, on_segment_end=lambda: None)
+    rq = kernel.core.rqs[task.cpu]
+    assert rq.curr is task and rq.timer_event is not None
+    return rq
+
+
+def test_timer_armed_violation(monkeypatch):
+    checker = _checker(monkeypatch)
+    rq = _running_worker(checker)
+    checker._check_timers(0, "probe")  # armed: clean
+    rq.timer_event.cancel()  # corrupt: the running task's timer is lost
+    with pytest.raises(InvariantViolation) as excinfo:
+        checker._check_timers(0, "probe")
+    assert excinfo.value.rule == "timer-armed"
+    assert excinfo.value.cpu == rq.cpu_id
+
+
+def test_timer_armed_violation_fires_before_next_event(monkeypatch):
+    checker = _checker(monkeypatch)
+    kernel = checker.kernel
+    rq = _running_worker(checker)
+    rq.timer_event.cancel()
+    rq.timer_event = None
+    kernel.sim.after(1, lambda: None, label="probe")
+    with pytest.raises(InvariantViolation) as excinfo:
+        kernel.sim.run_until(10)
+    assert excinfo.value.rule == "timer-armed"
+    assert "probe" in str(excinfo.value)
+
+
+def test_handler_cleared_violation(monkeypatch):
+    checker = _checker(monkeypatch)
+    rq = _running_worker(checker)
+    core = checker.kernel.core
+    core.handler_task, core.handler_rq = rq.curr, rq  # corrupt: left set
+    with pytest.raises(InvariantViolation) as excinfo:
+        checker._check_timers(0, "probe")
+    assert excinfo.value.rule == "handler-cleared"
 
 
 # --------------------------------------------------- supervisor interaction

@@ -122,3 +122,21 @@ def test_cli_check_flow_fails_on_regression(tmp_path: Path, monkeypatch,
     status = simcore.main(["--check", "--baseline", str(baseline)])
     assert status == 1
     assert "micro_event_queue" in capsys.readouterr().err
+
+
+def test_nas_lanes_score_runs_per_second() -> None:
+    """A NAS lane scores runs per wall second and reports the run's event
+    count beside the score, unscored."""
+    metric = simcore._macro_nas("is", "A", "stock", reps=1, inner=2)
+    assert metric["unit"] == "runs/s"
+    assert isinstance(metric["events"], int) and metric["events"] > 0
+    assert metric["score"] * metric["wall_s"] == pytest.approx(2, rel=0.05)
+
+
+def test_committed_baseline_scores_nas_lanes_in_runs_per_second() -> None:
+    baseline = json.loads(
+        (Path(__file__).resolve().parent.parent
+         / "benchmarks" / "perf" / "baseline" / "BENCH_simcore.json").read_text()
+    )
+    nas = {k: m for k, m in baseline["metrics"].items() if k.startswith("nas_")}
+    assert nas and all(m["unit"] == "runs/s" for m in nas.values())
