@@ -1,0 +1,104 @@
+"""Golden CLI transcripts: the fault, batch and resilience commands, byte for byte.
+
+Each case runs ``hpl-repro`` in-process through :func:`repro.cli.main` and
+compares its exit code, stdout and stderr against a transcript committed in
+``tests/golden/cli/``.  The cases cover both arms of ``faults`` (node and
+``--cluster``, single run and ``-n > 1``), its exit-1 and exit-2 paths, the
+batch fault flags, and the two resilience experiments.  Every command that
+runs a campaign passes ``--jobs 1 --no-cache``, because the worker count and
+the cache-hit count are printed.
+
+Regenerating (only legitimate when a change *intentionally* alters CLI
+output — say so in the change description):
+
+    REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
+
+_EXEC = ["--jobs", "1", "--no-cache"]
+
+#: transcript name -> argv.
+CASES = {
+    "faults_offline_watchdog": [
+        "faults", "is", "A", "--offline-cores", "1", "--watchdog"],
+    "faults_offline_online_crash_restart": [
+        "faults", "is", "A", "--regime", "hpl", "--seed", "1",
+        "--offline-cores", "1", "--online-after", "20000",
+        "--crash-rank", "2", "--ft-mode", "restart"],
+    "faults_campaign_crash_restart": [
+        "faults", "is", "A", "-n", "2", "--crash-rank", "1",
+        "--ft-mode", "restart", *_EXEC],
+    "faults_campaign_offline": [
+        "faults", "is", "A", "-n", "2", "--offline-cores", "2", *_EXEC],
+    "faults_random": [
+        "faults", "is", "A", "--random", "3", "--plan-seed", "4"],
+    "cluster_crash_failover": [
+        "faults", "is", "A", "--cluster", "--crash-node", "0",
+        "--ft-mode", "restart", "--spares", "1"],
+    "cluster_campaign_crash_failover": [
+        "faults", "is", "A", "--cluster", "--crash-node", "0",
+        "--ft-mode", "restart", "--spares", "1", "-n", "2", *_EXEC],
+    "cluster_slow_degrade": [
+        "faults", "is", "A", "--cluster", "--slow-node", "1",
+        "--degrade-link", "500"],
+    "cluster_campaign_abort": [
+        "faults", "is", "A", "--cluster", "-n", "2", "--crash-node", "0",
+        *_EXEC],
+    "faults_offline_every_core": [
+        "faults", "is", "A", "--offline-cores", "4"],
+    "cluster_crash_outside": [
+        "faults", "is", "A", "--cluster", "--crash-node", "5"],
+    "cluster_bad_regime": [
+        "faults", "is", "A", "--cluster", "--regime", "nice"],
+    "batch_faults": [
+        "batch", "easy", "--pool", "4", "-n", "2", "--fail-node", "0@2000",
+        "--return-node", "0@30000", "--mtbf", "60000",
+        "--runtime-model", "analytic", *_EXEC],
+    "batch_fail_outside_pool": [
+        "batch", "fcfs", "--fail-node", "7@100"],
+    "experiment_resilience": [
+        "experiment", "resilience", "-n", "2", *_EXEC],
+    "experiment_cluster_resilience": [
+        "experiment", "cluster-resilience", "-n", "1", *_EXEC],
+}
+
+
+def _transcript(argv, capsys) -> str:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejections
+        code = exc.code
+    captured = capsys.readouterr()
+    return (f"$ hpl-repro {' '.join(argv)}\n"
+            f"--- exit {code}\n"
+            f"--- stdout\n{captured.out}"
+            f"--- stderr\n{captured.err}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_transcript_matches_golden(case: str, capsys) -> None:
+    fixture = GOLDEN_DIR / f"{case}.txt"
+    got = _transcript(CASES[case], capsys)
+    if REGEN:
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        fixture.write_text(got, encoding="utf-8")
+        return
+    assert fixture.is_file(), (
+        f"missing golden transcript {fixture}; generate with "
+        "REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_golden_cli.py"
+    )
+    assert got == fixture.read_text(encoding="utf-8"), (
+        f"'hpl-repro {' '.join(CASES[case])}' no longer prints what the "
+        "golden transcript pins"
+    )
