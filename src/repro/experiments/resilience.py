@@ -32,6 +32,7 @@ from repro.units import msecs
 from repro.topology.presets import power6_js22
 from repro.apps.spmd import Program
 from repro.faults import ClusterTolerance, FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import offline_core_events
 from repro.experiments.runner import (
     _JOB_START,
     CampaignResult,
@@ -51,9 +52,6 @@ __all__ = [
 
 #: Fraction of the fault-free mean wall time at which the cores die.
 _OFFLINE_FRAC = 0.4
-#: Gap between successive thread offlinings (two threads of a core do not
-#: vanish in the same microsecond).
-_OFFLINE_STAGGER = 200
 
 
 @dataclass
@@ -108,16 +106,6 @@ class ResilienceResult:
         return "\n".join(lines)
 
 
-def _cores_from_back(machine) -> List[List[int]]:
-    """The machine's cores as CPU-id lists, last core first (we offline
-    from the back so CPU 0 — and rank 0's usual home — survives)."""
-    seen = []
-    for cpu in machine.cpus:
-        if cpu.core not in seen:
-            seen.append(cpu.core)
-    return [[t.cpu_id for t in core.threads] for core in reversed(seen)]
-
-
 def _row(regime: str, k: int, cpus: List[int], campaign: CampaignResult) -> ResilienceRow:
     walls = [r.wall_time / 1_000_000 for r in campaign.results]
     return ResilienceRow(
@@ -151,9 +139,6 @@ def resilience_campaign(
     machine = power6_js22()
     if nprocs is None:
         nprocs = machine.n_cpus
-    cores = _cores_from_back(machine)
-    if len(cores) < 3:
-        raise ValueError("need at least 3 cores to keep one per chip online")
 
     def factory() -> Program:
         return Program.iterative(
@@ -172,16 +157,8 @@ def resilience_campaign(
         mean_wall = mean(r.wall_time for r in baseline.results)
         offline_at = _JOB_START + int(_OFFLINE_FRAC * mean_wall)
         for k in (1, 2):
-            cpus = [c for core in cores[:k] for c in core]
             plan = FaultPlan.schedule(
-                [
-                    FaultEvent(
-                        at=offline_at + i * _OFFLINE_STAGGER,
-                        kind=FaultKind.CPU_OFFLINE,
-                        cpu=c,
-                    )
-                    for i, c in enumerate(cpus)
-                ],
+                offline_core_events(machine, k, offline_at),
                 label=f"offline-{k}core",
             )
             campaign = run_campaign(
@@ -189,7 +166,7 @@ def resilience_campaign(
                 base_seed=base_seed, fault_plan=plan,
                 resume_missing_ok=True, **run_opts,
             )
-            row = _row(regime, k, cpus, campaign)
+            row = _row(regime, k, [e.cpu for e in plan.events], campaign)
             row._slowdown = row.mean_s / base_row.mean_s
             rows.append(row)
     return ResilienceResult(rows=rows, n_runs=n_runs)

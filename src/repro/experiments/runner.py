@@ -475,7 +475,6 @@ def build_campaign_specs(
     cold_speed: Optional[float] = None,
     rewarm_scale: float = 1.0,
     fault_plan: Optional[FaultPlan] = None,
-    fault_plan_factory: Optional[Callable[[int, int], FaultPlan]] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
 ) -> List["RunSpec"]:
     """Materialize a campaign's repetitions as picklable specs.
@@ -492,31 +491,23 @@ def build_campaign_specs(
         raise ValueError(
             f"unknown regime {regime!r}; choose from {sorted(KERNEL_VARIANTS)}"
         )
-    if fault_plan is not None and fault_plan_factory is not None:
-        raise ValueError("pass fault_plan or fault_plan_factory, not both")
-    specs: List[RunSpec] = []
-    for i in range(n_runs):
-        seed = _derive_seed(base_seed, i)
-        plan = fault_plan
-        if fault_plan_factory is not None:
-            plan = fault_plan_factory(i, seed)
-        specs.append(
-            RunSpec(
-                run_index=i,
-                seed=seed,
-                program=program_factory(),
-                nprocs=nprocs,
-                regime=regime,
-                machine=machine_factory(),
-                noise=noise,
-                kernel_config=kernel_config,
-                cold_speed=cold_speed,
-                rewarm_scale=rewarm_scale,
-                fault_plan=plan,
-                fault_tolerance=fault_tolerance,
-            )
+    return [
+        RunSpec(
+            run_index=i,
+            seed=_derive_seed(base_seed, i),
+            program=program_factory(),
+            nprocs=nprocs,
+            regime=regime,
+            machine=machine_factory(),
+            noise=noise,
+            kernel_config=kernel_config,
+            cold_speed=cold_speed,
+            rewarm_scale=rewarm_scale,
+            fault_plan=fault_plan,
+            fault_tolerance=fault_tolerance,
         )
-    return specs
+        for i in range(n_runs)
+    ]
 
 
 def run_campaign(
@@ -533,16 +524,13 @@ def run_campaign(
     rewarm_scale: float = 1.0,
     label: str = "",
     fault_plan: Optional[FaultPlan] = None,
-    fault_plan_factory: Optional[Callable[[int, int], FaultPlan]] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
     **run_opts,
 ) -> CampaignResult:
     """Run *n_runs* independent repetitions.
 
-    Faults: *fault_plan* applies the same plan to every repetition;
-    *fault_plan_factory* is called as ``factory(run_index, seed)`` for a
-    per-repetition plan (e.g. re-seeded random plans).  When a plan is in
-    force, each provenance record gains a ``faults`` object (plan digest +
+    Faults: *fault_plan* applies the same plan to every repetition.  When
+    a plan is in force, each provenance record gains a ``faults`` object (plan digest +
     recovery metrics), so faulted and fault-free campaigns remain
     distinguishable in the audit trail forever.
 
@@ -568,7 +556,6 @@ def run_campaign(
         cold_speed=cold_speed,
         rewarm_scale=rewarm_scale,
         fault_plan=fault_plan,
-        fault_plan_factory=fault_plan_factory,
         fault_tolerance=fault_tolerance,
     )
     variant = KERNEL_VARIANTS[regime][0]
@@ -610,7 +597,6 @@ def run_nas_campaign(
     noise: Optional[NoiseProfile] = None,
     kernel_config: Optional[KernelConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
-    fault_plan_factory: Optional[Callable[[int, int], FaultPlan]] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
     **run_opts,
 ) -> CampaignResult:
@@ -633,7 +619,6 @@ def run_nas_campaign(
         rewarm_scale=spec.rewarm_scale,
         label=spec.label,
         fault_plan=fault_plan,
-        fault_plan_factory=fault_plan_factory,
         fault_tolerance=fault_tolerance,
         **run_opts,
     )
@@ -755,9 +740,6 @@ def build_cluster_specs(
     noise: Optional[NoiseProfile] = None,
     internode_latency: int = 30,
     fault_plans: Optional[Dict[int, FaultPlan]] = None,
-    fault_plans_factory: Optional[
-        Callable[[int, int], Optional[Dict[int, FaultPlan]]]
-    ] = None,
     tolerance: Optional[ClusterTolerance] = None,
     spare_nodes: int = 0,
 ) -> List["ClusterRunSpec"]:
@@ -766,8 +748,7 @@ def build_cluster_specs(
     Mirrors :func:`build_campaign_specs`: factories run here, in the
     parent, in run-index order.  ``machine_factories`` (n_nodes or
     n_nodes + spare_nodes entries) builds a heterogeneous cluster — e.g.
-    one half-speed straggler node; ``fault_plans_factory(run_index, seed)``
-    yields a per-repetition ``{node: plan}`` map (None = fault-free run).
+    one half-speed straggler node.
     """
     from repro.parallel.jobspec import ClusterRunSpec
 
@@ -777,42 +758,33 @@ def build_cluster_specs(
         raise ValueError(
             f"unknown cluster regime {regime!r}; choose from {CLUSTER_REGIMES}"
         )
-    if fault_plans is not None and fault_plans_factory is not None:
-        raise ValueError("pass fault_plans or fault_plans_factory, not both")
     total_nodes = n_nodes + spare_nodes
     if machine_factories is not None and len(machine_factories) not in (
         n_nodes,
         total_nodes,
     ):
         raise ValueError("machine_factories must have one entry per node")
-    specs: List[ClusterRunSpec] = []
-    for i in range(n_runs):
-        seed = _derive_seed(base_seed, i)
-        plans = fault_plans
-        if fault_plans_factory is not None:
-            plans = fault_plans_factory(i, seed)
-        machines: Optional[Tuple[Machine, ...]] = None
-        if machine_factories is not None:
-            machines = tuple(f() for f in machine_factories)
-        specs.append(
-            ClusterRunSpec(
-                run_index=i,
-                seed=seed,
-                program=program_factory(),
-                n_nodes=n_nodes,
-                nprocs_per_node=nprocs_per_node,
-                regime=regime,
-                machines=machines,
-                noise=noise,
-                internode_latency=internode_latency,
-                fault_plans=(
-                    tuple(sorted(plans.items())) if plans else None
-                ),
-                tolerance=tolerance,
-                spare_nodes=spare_nodes,
-            )
+    plans = tuple(sorted(fault_plans.items())) if fault_plans else None
+    return [
+        ClusterRunSpec(
+            run_index=i,
+            seed=_derive_seed(base_seed, i),
+            program=program_factory(),
+            n_nodes=n_nodes,
+            nprocs_per_node=nprocs_per_node,
+            regime=regime,
+            machines=(
+                tuple(f() for f in machine_factories)
+                if machine_factories is not None else None
+            ),
+            noise=noise,
+            internode_latency=internode_latency,
+            fault_plans=plans,
+            tolerance=tolerance,
+            spare_nodes=spare_nodes,
         )
-    return specs
+        for i in range(n_runs)
+    ]
 
 
 def run_cluster_campaign(
@@ -827,9 +799,6 @@ def run_cluster_campaign(
     noise: Optional[NoiseProfile] = None,
     internode_latency: int = 30,
     fault_plans: Optional[Dict[int, FaultPlan]] = None,
-    fault_plans_factory: Optional[
-        Callable[[int, int], Optional[Dict[int, FaultPlan]]]
-    ] = None,
     tolerance: Optional[ClusterTolerance] = None,
     spare_nodes: int = 0,
     label: str = "",
@@ -863,7 +832,6 @@ def run_cluster_campaign(
         noise=noise,
         internode_latency=internode_latency,
         fault_plans=fault_plans,
-        fault_plans_factory=fault_plans_factory,
         tolerance=tolerance,
         spare_nodes=spare_nodes,
     )

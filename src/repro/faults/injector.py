@@ -14,7 +14,7 @@ the scheduling activity they caused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.kernel.kernel import Kernel
@@ -34,9 +34,6 @@ class AppliedFault:
     @property
     def skipped(self) -> bool:
         return self.note.startswith("skipped")
-
-    def as_dict(self) -> Dict:
-        return {"time": self.time, "note": self.note, **self.event.as_dict()}
 
 
 class FaultInjector:
@@ -206,15 +203,6 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------- reports
-
-    def log(self) -> List[str]:
-        """Human-readable application log, one line per firing."""
-        return [
-            f"t={a.time}us {a.event.kind}: {a.note}" for a in self.applied
-        ]
-
-    def as_dicts(self) -> List[Dict]:
-        return [a.as_dict() for a in self.applied]
 
     def faults_injected(self) -> int:
         return sum(1 for a in self.applied if not a.skipped)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.task import SchedPolicy
+from repro.topology.machine import Machine
 
-__all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
+__all__ = ["FaultKind", "FaultEvent", "FaultPlan", "offline_core_events"]
 
 
 class FaultKind:
@@ -394,3 +395,33 @@ class FaultPlan:
         from repro.obs.provenance import config_digest
 
         return config_digest(self.as_dict())
+
+
+def offline_core_events(
+    machine: Machine, k: int, at: int, *, online_after: Optional[int] = None
+) -> List[FaultEvent]:
+    """Offline the last *k* whole cores of *machine*, starting at *at*.
+
+    Cores go last first, so CPU 0 (rank 0's usual home) survives; every
+    SMT thread of each core goes offline, one every 200 µs (the threads
+    of a core do not vanish in the same microsecond).  With
+    *online_after*, each CPU's ``cpu_online`` event follows its own
+    ``cpu_offline`` that many µs later.  Events come out CPU by CPU
+    (offline, then online): :meth:`FaultPlan.schedule` sorts stably, so
+    this order is part of the plan's digest.
+    """
+    cores = list(machine.cores())
+    if k >= len(cores):
+        raise ValueError(f"cannot offline {k} of {len(cores)} cores")
+    cpus = [
+        t.cpu_id for core in reversed(cores[len(cores) - k:]) for t in core.threads
+    ]
+    events: List[FaultEvent] = []
+    for i, cpu in enumerate(cpus):
+        off_at = at + i * 200
+        events.append(FaultEvent(at=off_at, kind=FaultKind.CPU_OFFLINE, cpu=cpu))
+        if online_after is not None:
+            events.append(FaultEvent(
+                at=off_at + online_after, kind=FaultKind.CPU_ONLINE, cpu=cpu,
+            ))
+    return events
