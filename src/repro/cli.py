@@ -1052,7 +1052,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.runs == 1:
         try:
             run_once()
-        except ClusterIncompleteError as exc:
+        except (ClusterIncompleteError, runner.RunIncompleteError) as exc:
             print(f"{spec.label}{where} under {args.regime} "
                   f"(seed {args.seed}): FAILED")
             print(exc)
@@ -1066,8 +1066,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             body,
         )
     except CampaignRunError as exc:
-        # Expected under --ft-mode abort with a crash planned: the job
-        # fail-stops by design.  Summarize instead of tracebacking.
+        # Expected when the plan is not survivable (a crash under --ft-mode
+        # abort, a run that cannot finish): summarize, do not traceback.
         print(f"campaign failed: {exc}", file=sys.stderr)
         return 1
 

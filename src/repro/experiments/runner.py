@@ -35,6 +35,7 @@ from repro.faults import (
 __all__ = [
     "KERNEL_VARIANTS",
     "build_kernel",
+    "RunIncompleteError",
     "resolve_kernel_config",
     "run_program",
     "run_nas",
@@ -93,6 +94,11 @@ def build_kernel(
     if machine is None:
         machine = power6_js22()
     return Kernel(machine, resolve_kernel_config(variant, config), seed=seed)
+
+
+class RunIncompleteError(RuntimeError):
+    """A single-node run reached its safety horizon without finishing (for
+    example, pinned ranks parked on a CPU that never comes back)."""
 
 
 def _run_job(
@@ -165,7 +171,7 @@ def _run_job(
         horizon = _JOB_START + 200 * program.total_compute + secs(600)
     kernel.sim.run_until(horizon)
     if job.result is None:
-        raise RuntimeError(
+        raise RunIncompleteError(
             f"{program.name} under {regime!r} (seed {seed}) did not finish by "
             f"t={horizon}us — events processed: {kernel.sim.events_processed}"
         )

@@ -168,6 +168,16 @@ def test_faults_cannot_offline_every_core(capsys):
     assert "cannot offline" in capsys.readouterr().err
 
 
+def test_faults_run_that_cannot_finish_fails_cleanly(capsys):
+    # Pinned ranks 6 and 7 park on CPUs that never come back.
+    rc = main(["faults", "is", "A", "--regime", "pinned", "--offline-cores", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.startswith("is.A.8 under pinned (seed 0): FAILED\n")
+    assert "did not finish" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_faults_crash_rank_restart(capsys):
     rc = main(["faults", "is", "A", "--crash-rank", "2",
                "--ft-mode", "restart", "--checkpoint-every", "2"])
