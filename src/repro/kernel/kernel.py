@@ -241,7 +241,8 @@ class Kernel:
         parent_cpu = None
         if parent is not None:
             parent_cpu = parent.cpu if parent.cpu is not None else None
-        self.core.start_task(task, parent_cpu=parent_cpu)
+        if not self.core.start_task(task, parent_cpu=parent_cpu):
+            self._park_waiters.append(task)
         return task
 
     # -- scheduling-state changes (the "syscall" surface used by apps) ------
@@ -277,6 +278,8 @@ class Kernel:
         the stock kernel re-places it on the idlest admissible CPU."""
         if task.state == TaskState.EXITED:
             raise ValueError("exec on an exited task")
+        if task in self._park_waiters:
+            return  # born parked: it is placed when it wakes
         target = self._select_cpu(task, "exec")
         if task.cpu is None or target == task.cpu:
             return

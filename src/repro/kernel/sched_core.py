@@ -389,23 +389,35 @@ class SchedCore:
 
     # ---------------------------------------------------------- transitions
 
-    def start_task(self, task: Task, *, parent_cpu: Optional[int]) -> None:
+    def start_task(self, task: Task, *, parent_cpu: Optional[int]) -> bool:
         """Make a NEW task runnable (the tail of ``fork``): it inherits the
         parent's CPU, then fork placement may move it (counted as the fork
-        migration the paper describes in §V)."""
+        migration the paper describes in §V).
+
+        When hotplug has taken every CPU the task may run on (a pinned rank
+        respawned while its CPU is down), the task is born parked instead:
+        asleep on its first admissible CPU.  Returns False then, so the
+        facade wakes it when a CPU returns."""
         if task.state != TaskState.NEW:
             raise ValueError(f"start_task on non-new {task!r}")
         task.created_at = self.sim.now
-        if parent_cpu is not None:
-            task.cpu = parent_cpu
-        elif task.cpu is None:
-            task.cpu = 0
-        target = self.select_cpu(task, "fork")
-        self.set_task_cpu(task, target)
+        parked = not self.has_online_cpu_for(task)
+        if parked:
+            task.cpu = min(task.affinity)  # type: ignore[arg-type]
+        else:
+            if parent_cpu is not None:
+                task.cpu = parent_cpu
+            elif task.cpu is None:
+                task.cpu = 0
+            self.set_task_cpu(task, self.select_cpu(task, "fork"))
         if task.warmth is None:
             task.warmth = self.warmth.new_task(task.cpu)
             self._snapshot_eviction(task)
+        if parked:
+            self._park(task)
+            return False
         self._activate(task, wakeup=False)
+        return True
 
     def wake_up(self, task: Task) -> None:
         """SLEEPING → RUNNABLE, with wake placement and preemption check."""

@@ -5,6 +5,8 @@ import pytest
 from repro.apps.mpi import MpiApplication
 from repro.apps.mpiexec import LaunchMode, MpiJob
 from repro.apps.spmd import Program
+from repro.cli import main
+from repro.experiments.runner import run_nas
 from repro.faults import FaultEvent, FaultKind, FaultPlan, FaultTolerance
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.topology.presets import power6_js22
@@ -177,3 +179,37 @@ def test_aborted_job_still_tears_down_launcher_chain():
     assert job.result is not None
     assert job.result.app_stats.aborted
     assert job.result.wall_time > 0
+
+
+# ------------------------------------- pinned ranks restarting under hotplug
+
+#: Rank 6 is pinned to CPU 6; --offline-cores 1 takes CPUs 6 and 7 down at
+#: the same instant the rank crashes, so its respawn finds no online CPU.
+_PINNED_RESTART = ["faults", "is", "A", "--regime", "pinned",
+                   "--offline-cores", "1", "--crash-rank", "6",
+                   "--ft-mode", "restart"]
+
+
+def test_pinned_respawn_parks_until_its_cpu_returns(capsys):
+    rc = main(_PINNED_RESTART + ["--online-after", "20000"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "restarts        : 1" in out
+    assert "completed       : yes" in out
+    assert "cpu_online   ok: unparked 1 task(s)" in out
+
+
+def test_pinned_respawn_whose_cpu_never_returns_fails_cleanly(capsys):
+    rc = main(_PINNED_RESTART)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.startswith("is.A.8 under pinned (seed 0): FAILED\n")
+    assert "did not finish" in captured.out
+    assert captured.err == ""
+
+
+def test_fault_free_pinned_run_unchanged():
+    result = run_nas("is", "A", "pinned", seed=0)
+    assert (result.wall_time, result.cpu_migrations, result.context_switches) == (
+        390_896, 12, 346,
+    )
