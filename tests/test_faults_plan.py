@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultEvent, FaultKind, FaultPlan, FaultTolerance
+from repro.faults.plan import offline_core_events
 
 
 # ------------------------------------------------------------- FaultEvent
@@ -102,6 +103,37 @@ def test_plan_digest_stable_across_processes():
         [FaultEvent(at=10, kind=FaultKind.CPU_OFFLINE, cpu=0)]
     ).digest()
     assert len(plan.digest()) == 16
+
+
+# ---------------------------------------------------- offline_core_events
+
+@pytest.mark.parametrize("k, cpus", [
+    (0, []),
+    (1, [6, 7]),
+    (2, [6, 7, 4, 5]),
+    (3, [6, 7, 4, 5, 2, 3]),
+])
+def test_offline_core_events_last_core_first_200us_apart(js22, k, cpus):
+    events = offline_core_events(js22, k, 1_000)
+    assert [e.cpu for e in events] == cpus
+    assert [e.at for e in events] == [1_000 + 200 * i for i in range(len(cpus))]
+    assert all(e.kind == FaultKind.CPU_OFFLINE for e in events)
+
+
+def test_offline_core_events_online_follows_each_offline(js22):
+    events = offline_core_events(js22, 2, 1_000, online_after=5_000)
+    assert [(e.kind, e.cpu, e.at) for e in events] == [
+        (kind, cpu, at + delay)
+        for cpu, at in ((6, 1_000), (7, 1_200), (4, 1_400), (5, 1_600))
+        for kind, delay in ((FaultKind.CPU_OFFLINE, 0),
+                            (FaultKind.CPU_ONLINE, 5_000))
+    ]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_offline_core_events_keep_one_core(js22, k):
+    with pytest.raises(ValueError, match=f"^cannot offline {k} of 4 cores$"):
+        offline_core_events(js22, k, 1_000)
 
 
 # --------------------------------------------------------- FaultTolerance
