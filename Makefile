@@ -11,12 +11,14 @@ test:
 	$(PY) -m pytest tests/
 
 # The fault-injection subsystem's own suite (hotplug, rank failures,
-# watchdogs, fault-schedule property tests).
+# watchdogs, fault-schedule property tests), plus the CLI tests and the
+# golden transcripts of the faults/batch/resilience commands.
 test-faults:
 	$(PY) -m pytest tests/test_faults_plan.py tests/test_faults_hotplug.py \
 		tests/test_faults_rank_failures.py tests/test_faults_watchdog.py \
 		tests/test_faults_zero_overhead.py tests/test_sim_stall.py \
-		tests/test_properties_faults.py
+		tests/test_properties_faults.py tests/test_golden_cli.py \
+		tests/test_cli.py
 
 # Cluster fault domains: multi-node detection/recovery, degraded modes,
 # the cluster campaign layer and its golden provenance fixture.
