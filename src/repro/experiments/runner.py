@@ -536,9 +536,9 @@ def run_campaign(
     """Run *n_runs* independent repetitions.
 
     Faults: *fault_plan* applies the same plan to every repetition.  When
-    a plan is in force, each provenance record gains a ``faults`` object (plan digest +
-    recovery metrics), so faulted and fault-free campaigns remain
-    distinguishable in the audit trail forever.
+    a plan is in force, each provenance record gains a ``faults`` object
+    (plan digest + recovery metrics), so faulted and fault-free campaigns
+    remain distinguishable in the audit trail forever.
 
     *run_opts* are the execution options, forwarded unchanged to
     :func:`repro.parallel.run_specs`, which declares and documents them:
