@@ -11,6 +11,9 @@ The suite measures the per-event hot path at three granularities:
   fewer events for the same result must not read as a slowdown);
 * **campaign** — a small serial ``is.A`` campaign with provenance on,
   the unit of work every table/figure regeneration multiplies;
+* **fabric** — a warm-cache replay of an 8-run ``lu.A`` campaign: spec
+  building and digesting, cache reads, the journal and provenance, with
+  no simulation at all (the path a cached report regeneration takes);
 * **batch** — the batch dispatcher alone: one 1k-job backlog trace
   (arrivals at about twice the drain rate) on a 16-node pool under
   analytic pricing, for the ``priority`` and ``share`` policies, reported
@@ -240,6 +243,43 @@ def campaign_is_a(reps: int = DEFAULT_REPS, n_runs: int = 16) -> Dict[str, float
     return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
 
 
+def fabric_replay(reps: int = DEFAULT_REPS, n_runs: int = 8) -> Dict[str, float]:
+    """A warm-cache replay of an ``n_runs`` lu.A stock campaign (runs/sec).
+
+    One untimed pass fills a private result cache; each measurement then
+    replays the campaign four times from it (one replay is a few tens of
+    milliseconds, too short to gate alone).  lu.A has a 1,039-phase
+    program, so the score is dominated by naming the specs (their digests
+    key the cache) and by the cache reads, journal and provenance writes."""
+    from repro.experiments.runner import run_nas_campaign
+
+    with tempfile.TemporaryDirectory() as td:
+        opts = dict(
+            base_seed=3,
+            n_jobs=1,
+            use_cache=True,
+            cache_dir=os.path.join(td, "cache"),
+            provenance_path=os.path.join(td, "prov.jsonl"),
+        )
+        run_nas_campaign("lu", "A", "stock", n_runs, **opts)
+
+        inner = 4
+
+        def run() -> Tuple[float, float]:
+            t0 = time.perf_counter()
+            for _ in range(inner):
+                replay = run_nas_campaign("lu", "A", "stock", n_runs, **opts)
+                if replay.cache_hits != n_runs:
+                    raise RuntimeError(
+                        f"fabric_replay: {replay.cache_hits}/{n_runs} cache hits"
+                    )
+            dt = time.perf_counter() - t0
+            return inner * n_runs / dt, dt
+
+        score, wall = _best_of(run, reps)
+    return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
+
+
 def batch_dispatch(policy: str, reps: int = DEFAULT_REPS) -> Dict[str, float]:
     """One 1k-job backlog trace dispatched under *policy* (jobs/sec).
 
@@ -264,7 +304,8 @@ def batch_dispatch(policy: str, reps: int = DEFAULT_REPS) -> Dict[str, float]:
 
 
 #: Metric name -> zero-argument measurement callable.  Ordered micro →
-#: macro → campaign → batch so a partial run still reports the cheap end.
+#: macro → campaign → fabric → batch so a partial run still reports the
+#: cheap end.
 SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "micro_event_queue": micro_event_queue,
     "micro_sim_loop": micro_sim_loop,
@@ -274,6 +315,7 @@ SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "nas_lu_A_stock": lambda: _macro_nas("lu", "A", "stock", DEFAULT_REPS),
     "nas_is_A_stock": lambda: _macro_nas("is", "A", "stock", DEFAULT_REPS, inner=4),
     "campaign_is_A_16": campaign_is_a,
+    "fabric_replay": fabric_replay,
     "batch_dispatch_priority": lambda: batch_dispatch("priority"),
     "batch_dispatch_share": lambda: batch_dispatch("share"),
 }

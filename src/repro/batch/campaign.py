@@ -267,7 +267,6 @@ def run_batch_campaign(
     from repro.obs.provenance import batch_run_record
     from repro.parallel.cache import PRICING_DIR, cache_root
     from repro.parallel.engine import run_specs
-    from repro.parallel.jobspec import model_epoch
 
     specs = build_batch_specs(
         policy,
@@ -286,7 +285,6 @@ def run_batch_campaign(
     bench = label or f"batch-{policy}"
     execute = _execute_batch_spec
     if use_cache and runtime_model == "sim":
-        model_epoch()  # computed once here; forked workers inherit it
         execute = functools.partial(
             _execute_batch_spec,
             pricing_store=str(cache_root(cache_dir) / PRICING_DIR),

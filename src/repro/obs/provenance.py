@@ -203,9 +203,14 @@ def campaign_record(
     holes: Optional[List[Dict[str, object]]] = None,
     resumed: bool = False,
     replayed: int = 0,
+    model_epoch: str,
 ) -> Dict[str, object]:
     """Execution metadata for one whole campaign (the ``.meta.json``
     sidecar next to a provenance JSONL).
+
+    ``model_epoch`` is :func:`repro.parallel.jobspec.model_epoch` of the
+    code that ran the campaign, the hash every result-cache key and the
+    journal carry.
 
     Kept *out* of the per-run records on purpose: worker count, cache
     hits, retries, holes, resume accounting and wall-clock timestamps
@@ -237,6 +242,7 @@ def campaign_record(
         "holes": list(holes or []),
         "resumed": resumed,
         "replayed": replayed,
+        "model_epoch": model_epoch,
         "started_at": time.strftime(
             "%Y-%m-%dT%H:%M:%S%z", time.localtime(started_at)
         ),

@@ -1,16 +1,17 @@
 """Campaign result cache: content-addressed per-run records on disk.
 
-Each finished repetition is stored under the :meth:`RunSpec.digest` of the
-spec that produced it — a hash over (program, machine, noise, kernel config,
-fault plan, seed, package version).  Re-running a campaign whose inputs are
-unchanged therefore loads every repetition from ``.repro-cache/`` and
-executes zero simulations; any input change (a different seed, one kernel
-knob, a new package version) misses cleanly because the key moves.
+Each finished repetition is stored under the digest of the spec that
+produced it — a hash over (program, machine, noise, kernel config, fault
+plan, seed, :func:`~repro.parallel.jobspec.model_epoch`).  Re-running a
+campaign whose inputs are unchanged therefore loads every repetition from
+``.repro-cache/`` and executes zero simulations; any input change (a
+different seed, one kernel knob, one edited line of model source) misses
+cleanly because the key moves.
 
-Layout: ``<root>/<key[:2]>/<key>.pkl`` — a pickled ``{"schema", "version",
-"result", "faults"}`` payload.  Writes are atomic (temp file +
-``os.replace``) so concurrent campaigns — including the engine's own
-workers' parents — never observe torn entries.  A *missing* entry is a
+Layout: ``<root>/<key[:2]>/<key>.pkl`` — a pickled ``{"schema", "result",
+"faults"}`` payload (the model epoch is in the key, not the payload).
+Writes are atomic (temp file + ``os.replace``) so concurrent campaigns —
+including the engine's own workers' parents — never observe torn entries.  A *missing* entry is a
 plain miss; a *corrupt or schema-mismatched* entry is quarantined: moved
 into ``<root>/quarantine/`` (preserving the evidence for diagnosis) with a
 one-line warning, then treated as a miss.  ``cache info`` reports the
@@ -37,8 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro import __version__
-
 __all__ = [
     "CACHE_ENV_VAR",
     "DEFAULT_CACHE_DIR",
@@ -62,7 +61,7 @@ QUARANTINE_DIR = "quarantine"
 PRICING_DIR = "pricing"
 
 #: Bump when the payload layout changes; older entries then miss.
-_PAYLOAD_SCHEMA = 1
+_PAYLOAD_SCHEMA = 2
 
 #: Subdirectories of the cache root that hold non-entry data.
 _RESERVED_SUBDIRS = frozenset({QUARANTINE_DIR, PRICING_DIR, "journal"})
@@ -214,7 +213,6 @@ class ResultCache:
         """Store one finished run atomically (last writer wins)."""
         payload = {
             "schema": _PAYLOAD_SCHEMA,
-            "version": __version__,
             "result": result,
             "faults": faults,
         }

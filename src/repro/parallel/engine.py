@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.parallel.jobspec import RunSpec
+from repro.parallel.jobspec import RunSpec, model_epoch
 
 __all__ = [
     "RunRecord",
@@ -210,9 +210,12 @@ def run_specs(
         if use_cache
         else None
     )
-    digest = journal_path = None
+    spec_digests = digest = journal_path = None
     if cache is not None:
-        digest = campaign_digest(specs)
+        # Each spec is digested once: the campaign digest, the cache keys,
+        # the journal lines, holes and errors all share this list.
+        spec_digests = [s.digest() for s in specs]
+        digest = campaign_digest(specs, spec_digests)
         journal_path = journal_path_for(cache.root, digest)
         if resume and resume_missing_ok and not journal_path.is_file():
             resume = False  # nothing to replay; run this campaign fresh
@@ -246,6 +249,7 @@ def run_specs(
             on_record=on_record,
             journal_path=journal_path,
             digest=digest,
+            spec_digests=spec_digests,
             resume=resume,
             telemetry=telemetry,
         )
@@ -274,6 +278,7 @@ def run_specs(
             holes=[h.as_dict() for h in supervised.holes],
             resumed=resume,
             replayed=supervised.replayed,
+            model_epoch=model_epoch(),
         )
         with open(provenance_path + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -4,10 +4,13 @@ A campaign is N independent repetitions; each repetition is fully described
 by a :class:`RunSpec` — the program (pure phase data), the machine model,
 the noise profile, the kernel configuration, the fault plan and the derived
 seed.  Everything in a spec is plain data, so it crosses a process boundary
-by pickling and, just as importantly, it can be *named*: :meth:`RunSpec.digest`
-is a stable content hash over the spec plus the package version, which is
-exactly the identity the result cache keys on (two runs with equal digests
-would simulate the same microseconds).
+by pickling and, just as importantly, it can be *named*: a spec's
+:meth:`~SpecIdentity.digest` is a stable content hash over the spec plus
+:func:`model_epoch`, the hash of the model source, which is exactly the
+identity the result cache keys on (two runs with equal digests would
+simulate the same microseconds under the same code).  A spec's program
+enters its fingerprint as :func:`program_digest`, a flat hash of the phase
+rows, so naming a spec costs far less than simulating it.
 
 The parent process builds specs by calling the campaign's factories in run
 order — factories themselves (often closures) never cross the boundary, so
@@ -20,12 +23,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro import __version__
-from repro.apps.spmd import Program
+from repro.apps.spmd import Phase, Program
 from repro.faults import ClusterTolerance, FaultPlan, FaultTolerance
 from repro.kernel.daemons import NoiseProfile
 from repro.kernel.kernel import KernelConfig
@@ -38,9 +41,12 @@ __all__ = [
     "BatchRunSpec",
     "ClusterRunSpec",
     "RunSpec",
+    "MODEL_FILES",
     "MODEL_PACKAGES",
+    "SpecIdentity",
     "machine_fingerprint",
     "model_epoch",
+    "program_digest",
     "stable_digest",
 ]
 
@@ -49,6 +55,10 @@ MODEL_PACKAGES = (
     "sim", "kernel", "memsim", "topology", "core", "apps", "cluster",
     "batch", "faults",
 )
+#: Single modules outside :data:`MODEL_PACKAGES` that decide results too:
+#: the spec executors, kernel variants and job start offset of the runner,
+#: and the time-unit conversions every model constant is written in.
+MODEL_FILES = ("experiments/runner.py", "units.py")
 
 
 def _jsonable(value):
@@ -80,23 +90,47 @@ def stable_digest(payload, length: int = 32) -> str:
 @functools.lru_cache(maxsize=None)
 def model_epoch() -> str:
     """sha256 over the model source: the sorted relative paths and bytes of
-    every ``.py`` file in :data:`MODEL_PACKAGES`.
+    every ``.py`` file in :data:`MODEL_PACKAGES` and of :data:`MODEL_FILES`.
 
-    Stores that outlive the code that filled them key on this, so editing
-    any model file (one constant is enough) moves every key.  Computed once
-    per process (~2.5 ms); forked workers inherit the parent's value."""
+    Everything that outlives the code that filled it keys on this — result
+    cache entries and journals through the spec digests, and the batch
+    pricing store directly — so editing any model file (one constant is
+    enough) moves every key.  Computed once per process (~2.5 ms); forked
+    workers inherit the parent's value."""
     root = Path(__file__).resolve().parent.parent
-    files = sorted(
-        (path.relative_to(root).as_posix(), path)
-        for pkg in MODEL_PACKAGES
-        for path in (root / pkg).rglob("*.py")
-    )
+    paths = [path for pkg in MODEL_PACKAGES for path in (root / pkg).rglob("*.py")]
+    paths.extend(root / rel for rel in MODEL_FILES)
+    files = sorted((path.relative_to(root).as_posix(), path) for path in paths)
     h = hashlib.sha256()
     for rel, path in files:
         data = path.read_bytes()
         h.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
         h.update(data)
     return h.hexdigest()
+
+
+_PHASE_FIELDS = tuple(f.name for f in dataclasses.fields(Phase))
+_PROGRAM_FIELDS = tuple(
+    f.name for f in dataclasses.fields(Program) if f.name != "phases"
+)
+_phase_row = operator.attrgetter(*_PHASE_FIELDS)
+_program_row = operator.attrgetter(*_PROGRAM_FIELDS)
+
+
+def program_digest(program: Program) -> str:
+    """Stable 32-hex content hash of *program*.
+
+    One JSON array of rows: the field names, the program's own non-phase
+    field values, then one row of field values per phase in
+    ``dataclasses.fields(Phase)`` order.  JSON keeps ``1`` and ``1.0`` (and
+    ``True``) apart, so programs that are equal under ``==`` but serialize
+    differently digest differently, and equal programs from separate
+    factory calls digest equal.  Flat rows skip ``dataclasses.asdict``'s
+    deep copy, which makes this cheap enough to run per spec (lu.B: under
+    5 ms, less than building the program)."""
+    rows = [[_PROGRAM_FIELDS, _PHASE_FIELDS], _program_row(program)]
+    rows.extend(map(_phase_row, program.phases))
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()[:32]
 
 
 def machine_fingerprint(machine: Machine) -> Dict[str, object]:
@@ -120,8 +154,21 @@ def machine_fingerprint(machine: Machine) -> Dict[str, object]:
     }
 
 
+class SpecIdentity:
+    """The identity every spec kind shares: a kind supplies
+    ``fingerprint()``, the simulation-relevant content as plain data, and
+    inherits :meth:`digest`."""
+
+    def fingerprint(self) -> Dict[str, object]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def digest(self) -> str:
+        """Stable 32-hex content key (the cache key) for this spec."""
+        return stable_digest(self.fingerprint())
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(SpecIdentity):
     """One campaign repetition, as data.
 
     Workers receive nothing else: the simulation a spec describes depends
@@ -146,14 +193,14 @@ class RunSpec:
         """Everything simulation-relevant, as deterministic plain data.
 
         ``run_index`` is deliberately absent: the index only orders results,
-        the *seed* is what differentiates repetitions.  The package version
-        is included so a code change (released as a version bump) never
-        reuses stale cached results.
+        the *seed* is what differentiates repetitions.  :func:`model_epoch`
+        is included so results simulated by other model code are never
+        reused, and the program enters as its :func:`program_digest`.
         """
         return {
-            "version": __version__,
+            "epoch": model_epoch(),
             "seed": self.seed,
-            "program": _jsonable(self.program),
+            "program": program_digest(self.program),
             "nprocs": self.nprocs,
             "regime": self.regime,
             "machine": machine_fingerprint(self.machine),
@@ -165,13 +212,9 @@ class RunSpec:
             "fault_tolerance": _jsonable(self.fault_tolerance),
         }
 
-    def digest(self) -> str:
-        """Stable 32-hex content key (the cache key) for this spec."""
-        return stable_digest(self.fingerprint())
-
 
 @dataclass(frozen=True)
-class ClusterRunSpec:
+class ClusterRunSpec(SpecIdentity):
     """One multi-node campaign repetition, as data.
 
     The cluster analogue of :class:`RunSpec`: everything
@@ -201,10 +244,10 @@ class ClusterRunSpec:
         """Everything simulation-relevant, as deterministic plain data
         (same contract as :meth:`RunSpec.fingerprint`)."""
         return {
-            "version": __version__,
+            "epoch": model_epoch(),
             "kind": "cluster",
             "seed": self.seed,
-            "program": _jsonable(self.program),
+            "program": program_digest(self.program),
             "n_nodes": self.n_nodes,
             "nprocs_per_node": self.nprocs_per_node,
             "regime": self.regime,
@@ -226,13 +269,9 @@ class ClusterRunSpec:
             "spare_nodes": self.spare_nodes,
         }
 
-    def digest(self) -> str:
-        """Stable 32-hex content key (the cache key) for this spec."""
-        return stable_digest(self.fingerprint())
-
 
 @dataclass(frozen=True)
-class BatchRunSpec:
+class BatchRunSpec(SpecIdentity):
     """One batch-scheduling campaign repetition, as data.
 
     The two-level analogue of :class:`RunSpec`: a repetition is a whole
@@ -275,12 +314,13 @@ class BatchRunSpec:
         (same contract as :meth:`RunSpec.fingerprint`).
 
         The fault fields fold in only when the plan is *armed* (non-empty)
-        and ``placement`` only when it departs from the default — so every
-        unarmed spec keeps the digest it had before the fault universe
-        existed, and warm caches stay valid (zero-cost-when-unarmed).
+        and ``placement`` only when it departs from the default, so an
+        unarmed spec's fingerprint has the same shape as one written before
+        those fields existed.  Cached schedules stay valid only as long as
+        :func:`model_epoch` does: any model source change misses them.
         """
         fp = {
-            "version": __version__,
+            "epoch": model_epoch(),
             "kind": "batch",
             "seed": self.seed,
             "policy": self.policy,
@@ -301,7 +341,3 @@ class BatchRunSpec:
         if self.placement != "lowest":
             fp["placement"] = self.placement
         return fp
-
-    def digest(self) -> str:
-        """Stable 32-hex content key (the cache key) for this spec."""
-        return stable_digest(self.fingerprint())

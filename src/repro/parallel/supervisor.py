@@ -72,7 +72,7 @@ from repro.parallel.engine import (
     Worker,
     resolve_jobs,
 )
-from repro.parallel.jobspec import RunSpec, stable_digest
+from repro.parallel.jobspec import RunSpec, model_epoch, stable_digest
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -94,7 +94,7 @@ __all__ = [
 
 #: Bump when the journal line layout changes; older journals then refuse to
 #: resume (the cache digests still protect correctness either way).
-JOURNAL_SCHEMA_VERSION = 1
+JOURNAL_SCHEMA_VERSION = 2
 
 #: Failure classifications (see :func:`classify_failure`).
 FATAL = "fatal"
@@ -357,16 +357,19 @@ class SupervisedResult:
 # --------------------------------------------------------------------- journal
 
 
-def campaign_digest(specs: Sequence[RunSpec]) -> str:
+def campaign_digest(
+    specs: Sequence[RunSpec], spec_digests: Optional[Sequence[str]] = None
+) -> str:
     """Content identity of a whole campaign: the ordered spec digests.
 
-    Any change to any repetition's inputs (seed, config, fault plan,
-    package version) moves this digest, so a journal can never resume a
-    different campaign than the one that wrote it.
+    Any change to any repetition's inputs (seed, config, fault plan, model
+    source) moves this digest, so a journal can never resume a different
+    campaign than the one that wrote it.  *spec_digests*, when the caller
+    already holds them, are the specs' digests in order.
     """
-    return stable_digest(
-        {"n_runs": len(specs), "runs": [s.digest() for s in specs]}
-    )
+    if spec_digests is None:
+        spec_digests = [s.digest() for s in specs]
+    return stable_digest({"n_runs": len(specs), "runs": spec_digests})
 
 
 def journal_path_for(cache_root, digest: str) -> Path:
@@ -377,10 +380,12 @@ def journal_path_for(cache_root, digest: str) -> Path:
 class CampaignJournal:
     """Append-only fsync'd JSONL journal of per-run completion.
 
-    One header line names the campaign digest; every subsequent line records
-    one repetition's fate (``done`` or ``failed``).  Lines are flushed and
-    fsync'd as written, so a SIGKILL at any instant loses at most the line
-    being written — and a torn trailing line is ignored on read.
+    One header line names the campaign digest and the
+    :func:`~repro.parallel.jobspec.model_epoch` of the code that wrote it;
+    every subsequent line records one repetition's fate (``done`` or
+    ``failed``).  Lines are flushed and fsync'd as written, so a SIGKILL at
+    any instant loses at most the line being written — and a torn trailing
+    line is ignored on read.
     """
 
     def __init__(self, path, digest: str, n_runs: int, *, resume: bool = False) -> None:
@@ -395,6 +400,7 @@ class CampaignJournal:
                     "record": "journal",
                     "schema": JOURNAL_SCHEMA_VERSION,
                     "campaign_digest": digest,
+                    "model_epoch": model_epoch(),
                     "n_runs": n_runs,
                 }
             )
@@ -551,6 +557,7 @@ class _Supervisor:
         on_record: Optional[Callable[[RunRecord], None]],
         journal: Optional[CampaignJournal],
         replayable: Dict[int, str],
+        spec_digests: Optional[Sequence[str]],
         chunk_factor: int,
         sleep: Callable[[float], None],
         telemetry=None,
@@ -564,6 +571,7 @@ class _Supervisor:
         self.on_record = on_record
         self.journal = journal
         self.replayable = replayable
+        self.spec_digests = spec_digests
         self.chunk_factor = chunk_factor
         self.sleep = sleep
         self.telemetry = telemetry if telemetry is not None else _NULL_TELEMETRY
@@ -698,8 +706,8 @@ class _Supervisor:
         settled: List[RunRecord] = []
         journal_done: Set[int] = set(self.replayable)
         started = time.monotonic()
-        for spec in self.specs:
-            digest = spec.digest() if self.cache is not None else ""
+        digests = self.spec_digests or [""] * len(self.specs)
+        for spec, digest in zip(self.specs, digests):
             if self.cache is not None:
                 found = self.cache.get(digest)
                 if found is not None:
@@ -968,6 +976,7 @@ def supervise_campaign(
     on_record: Optional[Callable[[RunRecord], None]] = None,
     journal_path=None,
     digest: Optional[str] = None,
+    spec_digests: Optional[Sequence[str]] = None,
     resume: bool = False,
     chunk_factor: int = 4,
     sleep: Callable[[float], None] = time.sleep,
@@ -984,7 +993,10 @@ def supervise_campaign(
     (``config.timeout_s``), classified seeded retry (``config.retry``),
     graceful pool degradation, partial salvage (``config.allow_partial``)
     and crash-safe journaling (*journal_path*, keyed by the campaign
-    *digest* — computed from *specs* when not given).
+    *digest*).  *spec_digests* are the specs' digests in order: the cache
+    keys, the journal lines, holes and errors all use them, and so does
+    the campaign *digest* when it is not given.  Both are computed from
+    *specs* when omitted and the cache or the journal needs them.
 
     With *resume*, run indices the journal confirms done are replayed from
     the cache (counted in :attr:`SupervisedResult.replayed`); a confirmed
@@ -1006,8 +1018,10 @@ def supervise_campaign(
 
     journal: Optional[CampaignJournal] = None
     replayable: Dict[int, str] = {}
+    if spec_digests is None and (cache is not None or journal_path is not None):
+        spec_digests = [s.digest() for s in specs]
     if journal_path is not None:
-        digest = digest or campaign_digest(specs)
+        digest = digest or campaign_digest(specs, spec_digests)
         if resume:
             if not Path(journal_path).is_file():
                 raise NoJournalError(str(journal_path))
@@ -1028,6 +1042,7 @@ def supervise_campaign(
         on_record=on_record,
         journal=journal,
         replayable=replayable,
+        spec_digests=spec_digests,
         chunk_factor=chunk_factor,
         sleep=sleep,
         telemetry=telemetry,

@@ -8,6 +8,12 @@ batch fault flags, and the two resilience experiments.  Every command that
 runs a campaign passes ``--jobs 1 --no-cache``, because the worker count and
 the cache-hit count are printed.
 
+One token is masked on both sides of the comparison: the ``spec digest``
+a :class:`~repro.parallel.CampaignRunError` prints.  A spec digest carries
+the model epoch (the hash of the model source), so it moves with every
+model change; :func:`test_printed_spec_digest_is_the_failing_specs` checks
+its value exactly instead.
+
 Regenerating (only legitimate when a change *intentionally* alters CLI
 output — say so in the change description):
 
@@ -17,16 +23,20 @@ output — say so in the change description):
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import pytest
 
+import repro.experiments.runner as runner
 from repro.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 _EXEC = ["--jobs", "1", "--no-cache"]
+
+_SPEC_DIGEST = re.compile(r"spec digest ([0-9a-f]{32})")
 
 #: transcript name -> argv.
 CASES = {
@@ -74,6 +84,11 @@ CASES = {
 }
 
 
+def _mask(transcript: str) -> str:
+    """*transcript* with every printed spec digest replaced by a placeholder."""
+    return _SPEC_DIGEST.sub("spec digest <spec-digest>", transcript)
+
+
 def _transcript(argv, capsys) -> str:
     try:
         code = main(argv)
@@ -89,7 +104,7 @@ def _transcript(argv, capsys) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_transcript_matches_golden(case: str, capsys) -> None:
     fixture = GOLDEN_DIR / f"{case}.txt"
-    got = _transcript(CASES[case], capsys)
+    got = _mask(_transcript(CASES[case], capsys))
     if REGEN:
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         fixture.write_text(got, encoding="utf-8")
@@ -98,7 +113,26 @@ def test_cli_transcript_matches_golden(case: str, capsys) -> None:
         f"missing golden transcript {fixture}; generate with "
         "REPRO_REGEN_GOLDEN=1 python -m pytest tests/test_golden_cli.py"
     )
-    assert got == fixture.read_text(encoding="utf-8"), (
+    assert got == _mask(fixture.read_text(encoding="utf-8")), (
         f"'hpl-repro {' '.join(CASES[case])}' no longer prints what the "
         "golden transcript pins"
     )
+
+
+def test_printed_spec_digest_is_the_failing_specs(capsys, monkeypatch) -> None:
+    """The masked token, checked exactly: the digest an aborted cluster
+    campaign prints is the failing spec's own ``digest()``."""
+    seen = []
+    execute = runner._execute_cluster_spec
+
+    def recording(spec):
+        seen.append(spec)
+        return execute(spec)
+
+    monkeypatch.setattr(runner, "_execute_cluster_spec", recording)
+    transcript = _transcript(CASES["cluster_campaign_abort"], capsys)
+    printed = _SPEC_DIGEST.findall(transcript)
+    failing = [spec for spec in seen if spec.run_index == 0]
+    assert failing and len(printed) == 1
+    assert printed[0] == failing[0].digest()
+    assert f"(seed {failing[0].seed}, spec digest" in transcript

@@ -34,6 +34,7 @@ from repro.parallel import (
     resolve_jobs,
     supervise_campaign,
 )
+from repro.parallel.jobspec import model_epoch
 from repro.topology.presets import generic_smp
 from repro.units import msecs
 
@@ -174,7 +175,7 @@ _META_KEYS = {
     "schema", "record", "bench", "regime", "n_runs", "base_seed", "jobs",
     "cache_hits", "cache_misses", "retries", "timeouts", "pool_shrinks",
     "holes", "resumed", "replayed", "started_at", "finished_at",
-    "duration_s",
+    "duration_s", "model_epoch",
 }
 
 
@@ -197,6 +198,7 @@ def test_run_specs_contract_is_shared_by_every_kind(kind, tmp_path, monkeypatch)
     assert fresh.n_runs == 2 and fresh.cache_hits == 0 and fresh.replayed == 0
     meta = json.loads(open(prov + ".meta.json").read())
     assert set(meta) == _META_KEYS
+    assert meta["model_epoch"] == model_epoch()
     assert meta["resumed"] is False
     assert (meta["bench"], meta["cache_misses"]) == (bench, 2)
 
