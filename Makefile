@@ -18,13 +18,14 @@ test-faults:
 		tests/test_faults_rank_failures.py tests/test_faults_watchdog.py \
 		tests/test_faults_zero_overhead.py tests/test_sim_stall.py \
 		tests/test_properties_faults.py tests/test_golden_cli.py \
-		tests/test_cli.py
+		tests/test_cli.py tests/test_recovery_oracle.py
 
 # Cluster fault domains: multi-node detection/recovery, degraded modes,
-# the cluster campaign layer and its golden provenance fixture.
+# the cluster campaign layer and its golden provenance fixture, and the
+# differential test of the shared node/cluster recovery path.
 test-cluster:
 	$(PY) -m pytest tests/test_cluster.py tests/test_cluster_faults.py \
-		tests/test_golden_provenance.py
+		tests/test_golden_provenance.py tests/test_recovery_oracle.py
 
 # Batch/cluster dispatcher: workload generation, the four allocation
 # policies (FCFS, EASY backfilling, priority, fractional sharing), the

@@ -64,19 +64,23 @@ class AppStats:
 
 
 class _RankState:
-    __slots__ = ("index", "task", "pos", "spawn_kwargs", "spin_label", "spin_timeout")
+    __slots__ = (
+        "index", "name", "task", "pos", "spawn_kwargs", "spin_label", "spin_timeout",
+    )
 
-    def __init__(self, index: int, task: Task) -> None:
+    def __init__(self, index: int, name: str, spawn_kwargs: Dict[str, object]) -> None:
         self.index = index
-        self.task = task
+        #: Task name shared by every incarnation of the rank.
+        self.name = name
+        #: The current incarnation's task, set by ``MpiApplication._fork``.
+        self.task: Task
         #: Position in the unrolled phase list (the phase being executed).
         self.pos = 0
         #: Scheduling template captured at first spawn so checkpoint/restart
         #: can respawn the rank with identical policy/priority/affinity.
-        self.spawn_kwargs: Dict[str, object] = {}
-        #: Spin-timeout label, built once (a respawned task keeps the
-        #: rank's name).
-        self.spin_label = f"spin-to:{task.name}"
+        self.spawn_kwargs = spawn_kwargs
+        #: Spin-timeout label, built once.
+        self.spin_label = f"spin-to:{name}"
         #: The pending spin-then-block timeout, cancelled at release.
         self.spin_timeout: Optional[Event] = None
 
@@ -204,8 +208,26 @@ class MpiApplication:
             raise ValueError(f"ranks must spawn in order; expected {len(self.ranks)}")
         if index >= self.nprocs:
             raise ValueError("all ranks already spawned")
-        first = self.program.phases[0]
-        kwargs = {}
+        rank = self._new_rank(index, policy, rt_priority, nice, pin, pin_cpus)
+        return self._fork(
+            rank,
+            self._draw_work(self.program.phases[0], index),
+            self._segment_done_of[index],
+            parent,
+        )
+
+    def _new_rank(
+        self,
+        index: int,
+        policy: Optional[str],
+        rt_priority: int,
+        nice: int,
+        pin: bool,
+        pin_cpus: Optional[List[int]],
+    ) -> _RankState:
+        """Register rank *index* with its scheduling template (not yet
+        forked)."""
+        kwargs: Dict[str, object] = {"nice": nice}
         if policy is not None:
             kwargs["policy"] = policy
             kwargs["rt_priority"] = rt_priority
@@ -215,24 +237,33 @@ class MpiApplication:
             kwargs["affinity"] = frozenset({pin_cpus[index]})
         elif pin:
             kwargs["affinity"] = frozenset({index % self.kernel.machine.n_cpus})
+        rank = _RankState(index, f"{self.program.name}.r{index}", kwargs)
+        self._segment_done_of.append(lambda r=rank: self._segment_done(r))
+        self.ranks.append(rank)
+        return rank
+
+    def _fork(
+        self,
+        rank: _RankState,
+        work: int,
+        on_segment_end: Callable[[], None],
+        parent: Optional[Task] = None,
+    ) -> Task:
+        """Start a new incarnation of *rank*: spawn its task from the
+        scheduling template with a first segment of *work*, then exec."""
         task = self.kernel.spawn(
-            f"{self.program.name}.r{index}",
+            rank.name,
             parent=parent,
-            nice=nice,
-            work=self._draw_work(first, index),
-            on_segment_end=lambda: None,
-            **kwargs,
+            work=work,
+            on_segment_end=on_segment_end,
+            **rank.spawn_kwargs,
         )
-        rank = _RankState(index, task)
-        rank.spawn_kwargs = dict(kwargs, nice=nice)
+        rank.task = task
         task.user_data = rank
         if task.warmth is not None:
             if self.cold_speed is not None:
                 task.warmth.cold_speed = self.cold_speed
             task.warmth.rewarm_scale = self.rewarm_scale
-        self._segment_done_of.append(lambda r=rank: self._segment_done(r))
-        task.on_segment_end = self._segment_done_of[index]
-        self.ranks.append(rank)
         # fork is immediately followed by exec'ing the benchmark binary,
         # which gives the stock kernel a second (SD_BALANCE_EXEC) placement.
         self.kernel.sched_exec(task)
@@ -456,7 +487,7 @@ class MpiApplication:
             self.stats.detection_latency_us = self.kernel.now - self._crash_time
         if self.failure_bridge is not None and self.failure_bridge(self):
             return  # the cluster coordinator owns the abort/restart decision
-        if ft.mode == "abort" or self.stats.restarts >= ft.max_restarts:
+        if ft.gives_up(self.stats.restarts):
             self._abort()
         else:
             self._restart()
@@ -484,63 +515,30 @@ class MpiApplication:
             self.on_complete(self)
 
     def _restart(self) -> None:
-        now = self.kernel.now
+        """Local restart: charge the work since the last rollback or
+        checkpoint, then roll back to this node's own checkpoint."""
         ft = self.fault_tolerance
-        self.stats.restarts += 1
         base = self._checkpoint_time
         if base is None:  # pragma: no cover - set at begin_launch
-            base = now
-        self.stats.lost_work_us += now - base
+            base = self.kernel.now
+        self.stats.lost_work_us += self.kernel.now - base
         self.stats.recovery_time_us += ft.restart_cost
-        # Ranks that already exited are rolled back with the rest, so their
-        # exits no longer count.
-        self.stats.ranks_exited = 0
-        self.stats.finished_at = None
-        self._teardown_incarnation()
-        for rank in self.ranks:
-            self._respawn(rank)
+        self.rollback(self._checkpoint_pos, ft.restart_cost)
 
-    def _respawn(self, rank: _RankState, restart_cost: Optional[int] = None) -> None:
-        """Re-fork one rank at the last checkpoint.
+    def rollback(self, checkpoint_pos: int, restart_cost: int) -> None:
+        """Coordinated rollback of every rank to collective
+        *checkpoint_pos*.
 
-        The new task runs a bootstrap segment of ``restart_cost`` work
-        (restoring the checkpoint image) and then resumes the phase list
-        right after the checkpointed collective."""
-        if restart_cost is None:
-            restart_cost = self.fault_tolerance.restart_cost
-        task = self.kernel.spawn(
-            f"{self.program.name}.r{rank.index}",
-            work=max(1, restart_cost),
-            on_segment_end=lambda: None,
-            **rank.spawn_kwargs,
-        )
-        rank.task = task
-        task.user_data = rank
-        if task.warmth is not None:
-            if self.cold_speed is not None:
-                task.warmth.cold_speed = self.cold_speed
-            task.warmth.rewarm_scale = self.rewarm_scale
-        rank.pos = self._checkpoint_pos
-        task.on_segment_end = lambda r=rank: self._advance(r)
-        self.kernel.sched_exec(task)
-
-    # ------------------------------------------------- cluster coordination
-
-    def cluster_rollback(self, checkpoint_pos: int, restart_cost: int) -> None:
-        """Coordinated rollback driven by the cluster coordinator.
-
-        Unlike :meth:`_restart`, the checkpoint position and restore cost
-        come from the *cluster-wide* coordinated checkpoint, not this node's
-        local policy.  A survivor that already finished its post-collective
-        tail is resurrected at the checkpoint like everyone else."""
+        Used by the local restart and by the cluster coordinator, whose
+        checkpoint position and restore cost are cluster-wide.  A rank that
+        already finished its post-collective tail is resurrected at the
+        checkpoint like everyone else, so its exit no longer counts; work
+        lost to a later failure counts from now."""
         self.stats.restarts += 1
         self.stats.ranks_exited = 0
         self.stats.finished_at = None
         self._teardown_incarnation()
-        self._checkpoint_pos = checkpoint_pos
-        self._checkpoint_time = self.kernel.now
-        for rank in self.ranks:
-            self._respawn(rank, restart_cost)
+        self._resume(checkpoint_pos, restart_cost)
 
     def adopt_restart(
         self,
@@ -554,47 +552,24 @@ class MpiApplication:
         pin_cpus: Optional[List[int]] = None,
     ) -> None:
         """Spare-node failover: launch this never-started application
-        directly into the cluster checkpoint.
-
-        Every rank boots with a ``restart_cost`` restore segment and then
-        resumes right after collective *checkpoint_pos* — the spare adopts
-        the dead node's shard mid-program."""
+        directly into the cluster checkpoint, adopting the dead node's
+        shard mid-program."""
         if self.ranks:
             raise RuntimeError("adopt_restart needs a never-launched application")
-        now = self.kernel.now
-        self.stats.started_at = now
-        self._checkpoint_pos = checkpoint_pos
-        self._checkpoint_time = now
+        self.stats.started_at = self.kernel.now
         for index in range(self.nprocs):
-            kwargs: Dict[str, object] = {}
-            if policy is not None:
-                kwargs["policy"] = policy
-                kwargs["rt_priority"] = rt_priority
-            if pin_cpus is not None:
-                if len(pin_cpus) < self.nprocs:
-                    raise ValueError("pin_cpus must cover every rank")
-                kwargs["affinity"] = frozenset({pin_cpus[index]})
-            elif pin:
-                kwargs["affinity"] = frozenset({index % self.kernel.machine.n_cpus})
-            task = self.kernel.spawn(
-                f"{self.program.name}.r{index}",
-                nice=nice,
-                work=max(1, restart_cost),
-                on_segment_end=lambda: None,
-                **kwargs,
-            )
-            rank = _RankState(index, task)
-            rank.spawn_kwargs = dict(kwargs, nice=nice)
-            task.user_data = rank
-            if task.warmth is not None:
-                if self.cold_speed is not None:
-                    task.warmth.cold_speed = self.cold_speed
-                task.warmth.rewarm_scale = self.rewarm_scale
+            self._new_rank(index, policy, rt_priority, nice, pin, pin_cpus)
+        self._resume(checkpoint_pos, restart_cost)
+
+    def _resume(self, checkpoint_pos: int, restart_cost: int) -> None:
+        """Fork every rank at collective *checkpoint_pos*: each boots with
+        a ``restart_cost`` restore segment (reloading the checkpoint image)
+        and then resumes right after that collective."""
+        self._checkpoint_pos = checkpoint_pos
+        self._checkpoint_time = self.kernel.now
+        for rank in self.ranks:
             rank.pos = checkpoint_pos
-            task.on_segment_end = lambda r=rank: self._advance(r)
-            self._segment_done_of.append(lambda r=rank: self._segment_done(r))
-            self.ranks.append(rank)
-            self.kernel.sched_exec(task)
+            self._fork(rank, max(1, restart_cost), lambda r=rank: self._advance(r))
 
     # ------------------------------------------------------------- lifetime
 

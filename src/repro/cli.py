@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="US",
                         help="bring the cores back US microseconds later")
     faults.add_argument("--crash-rank", type=_nonneg_int, default=None,
-                        metavar="R", help="crash rank R mid-run")
+                        metavar="R", help="crash rank R mid-run (with "
+                                          "--cluster, counted across nodes)")
     faults.add_argument("--ft-mode", default="abort",
                         choices=["abort", "restart"],
                         help="reaction to rank death (default abort)")
@@ -879,7 +880,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 return 2
         program = nas_program(spec, machine)
         nprocs_per_node = max(1, spec.nprocs // args.nodes)
+        n_ranks = nprocs_per_node * args.nodes
+        if args.crash_rank is not None and args.crash_rank >= n_ranks:
+            print(f"error: --crash-rank {args.crash_rank} targets a rank "
+                  f"outside the {n_ranks}-rank job", file=sys.stderr)
+            return 2
         events_by_node: dict = {}
+        if args.crash_rank is not None:
+            events_by_node.setdefault(
+                args.crash_rank // nprocs_per_node, []
+            ).append(FaultEvent(at=fault_at, kind=FaultKind.RANK_CRASH,
+                                rank=args.crash_rank % nprocs_per_node))
         if args.crash_node is not None:
             events_by_node.setdefault(args.crash_node, []).append(
                 FaultEvent(at=fault_at, kind=FaultKind.NODE_CRASH))

@@ -458,18 +458,10 @@ class ClusterJob:
         self._detect_armed = False
         if not self._dead_pending:
             return
-        dead = sorted(self._dead_pending)
-        self._dead_pending.clear()
-        self.detections += 1
-        now = self.sim.now
-        if self.detection_latency_us is None and self._crash_time is not None:
-            self.detection_latency_us = now - self._crash_time
-        self._crash_time = None
-        tol = self._tol()
-        if tol.mode == "abort" or self.restarts >= tol.max_restarts:
-            self._fail(f"node(s) {dead} fail-stopped (tolerance: {tol.mode})")
-        else:
-            self._recover(dead)
+        self._decide(
+            f"node(s) {sorted(self._dead_pending)} fail-stopped",
+            self.sim.now - self._crash_time,
+        )
 
     def _rank_failure(self, node: int, app: MpiApplication) -> bool:
         """``failure_bridge`` target: the per-node runtime's heartbeat
@@ -480,18 +472,27 @@ class ClusterJob:
             return False
         if node not in self._active:
             return True  # stale detection from a superseded incarnation
-        tol = self.tolerance
-        self.detections += 1
-        if (
-            self.detection_latency_us is None
-            and app.stats.detection_latency_us is not None
-        ):
-            self.detection_latency_us = app.stats.detection_latency_us
-        if tol.mode == "abort" or self.restarts >= tol.max_restarts:
-            self._fail(f"rank failure on node {node} (tolerance: {tol.mode})")
-        else:
-            self._recover([])
+        self._decide(
+            f"rank failure on node {node}", app.stats.detection_latency_us
+        )
         return True
+
+    def _decide(self, reason: str, latency: Optional[int]) -> None:
+        """One detection, whichever detector fired: fail the job, or roll
+        it back after placing *every* node still pending as dead (a node
+        that died inside a rank failure's detection window must not lose
+        its shard to the epoch fence)."""
+        dead = sorted(self._dead_pending)
+        self._dead_pending.clear()
+        self._crash_time = None
+        self.detections += 1
+        if self.detection_latency_us is None:
+            self.detection_latency_us = latency
+        tol = self._tol()
+        if tol.gives_up(self.restarts):
+            self._fail(f"{reason} (tolerance: {tol.mode})")
+        else:
+            self._recover(dead)
 
     # --------------------------------------------------------------- recovery
 
@@ -520,6 +521,9 @@ class ClusterJob:
             else:
                 self.shrinks += 1
         new_width = len(self._active)
+        if new_width == 0:
+            self._fail(f"node(s) {dead} fail-stopped and no node is left")
+            return
         if new_width < prev_width:
             # Shrink-to-fit: the remaining phases are re-decomposed over
             # fewer nodes, so every survivor's shard grows proportionally.
@@ -531,7 +535,7 @@ class ClusterJob:
             self._terminal_nodes.discard(node)
             handle.app.work_scale = self._work_scale
             if handle.app.ranks:
-                handle.app.cluster_rollback(self._ckpt_pos, tol.restart_cost)
+                handle.app.rollback(self._ckpt_pos, tol.restart_cost)
             else:
                 handle.app.adopt_restart(
                     self._ckpt_pos, tol.restart_cost, **self._launch_kwargs

@@ -6,14 +6,47 @@ rest of the fault machinery in.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["ClusterTolerance", "FaultTolerance"]
 
 
+class _Tolerance:
+    """The checks and the decision both tolerance policies share."""
+
+    mode: str
+    detection_timeout: int
+    checkpoint_every: int
+    restart_cost: int
+    max_restarts: int
+
+    MODES = ("abort", "restart")
+
+    def __post_init__(self) -> None:
+        if self.mode not in self.MODES:
+            raise ValueError(f"mode must be one of {self.MODES}")
+        if self.detection_timeout < 1:
+            raise ValueError("detection_timeout must be positive")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every cannot be negative")
+        if self.restart_cost < 0:
+            raise ValueError("restart_cost cannot be negative")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts cannot be negative")
+
+    def as_dict(self) -> Dict:
+        return dataclasses.asdict(self)
+
+    def gives_up(self, restarts: int) -> bool:
+        """Whether a detected failure ends the job: always in abort mode,
+        and in restart mode once *restarts* rollbacks spent the budget."""
+        return self.mode == "abort" or restarts >= self.max_restarts
+
+
 @dataclass(frozen=True)
-class FaultTolerance:
+class FaultTolerance(_Tolerance):
     """How an MPI job reacts to a crashed rank.
 
     Detection models the launcher's heartbeat/SIGCHLD path: the runtime
@@ -35,32 +68,9 @@ class FaultTolerance:
     #: Give up (abort) after this many restarts.
     max_restarts: int = 8
 
-    MODES = ("abort", "restart")
-
-    def __post_init__(self) -> None:
-        if self.mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}")
-        if self.detection_timeout < 1:
-            raise ValueError("detection_timeout must be positive")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every cannot be negative")
-        if self.restart_cost < 0:
-            raise ValueError("restart_cost cannot be negative")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts cannot be negative")
-
-    def as_dict(self) -> Dict:
-        return {
-            "mode": self.mode,
-            "detection_timeout": self.detection_timeout,
-            "checkpoint_every": self.checkpoint_every,
-            "restart_cost": self.restart_cost,
-            "max_restarts": self.max_restarts,
-        }
-
 
 @dataclass(frozen=True)
-class ClusterTolerance:
+class ClusterTolerance(_Tolerance):
     """How a multi-node job reacts to node and rank loss.
 
     The cluster coordinator (``repro.cluster.multinode.ClusterJob``) is the
@@ -92,29 +102,9 @@ class ClusterTolerance:
     #: Give up (abort) after this many cluster-wide restarts.
     max_restarts: int = 4
 
-    MODES = ("abort", "restart")
     RECOVERS = ("failover", "shrink")
 
     def __post_init__(self) -> None:
-        if self.mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}")
         if self.recover not in self.RECOVERS:
             raise ValueError(f"recover must be one of {self.RECOVERS}")
-        if self.detection_timeout < 1:
-            raise ValueError("detection_timeout must be positive")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every cannot be negative")
-        if self.restart_cost < 0:
-            raise ValueError("restart_cost cannot be negative")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts cannot be negative")
-
-    def as_dict(self) -> Dict:
-        return {
-            "mode": self.mode,
-            "recover": self.recover,
-            "detection_timeout": self.detection_timeout,
-            "checkpoint_every": self.checkpoint_every,
-            "restart_cost": self.restart_cost,
-            "max_restarts": self.max_restarts,
-        }
+        super().__post_init__()

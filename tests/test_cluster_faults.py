@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.units import msecs
@@ -225,6 +225,121 @@ def test_max_restarts_bounds_recovery():
             _program(), 3, regime="stock", seed=9, fault_plans=crashes,
             tolerance=_restart_tol("shrink", max_restarts=1),
         )
+
+
+def _rank_then_node_plan():
+    """Rank 2 of node 1 crashes mid-run; node 2 fail-stops 0.5 ms later,
+    so the rank's detection fires while the node loss is still pending."""
+    return {
+        1: FaultPlan.schedule(
+            [
+                FaultEvent(at=_MID_RUN, kind=FaultKind.RANK_CRASH, rank=2),
+                FaultEvent(at=_MID_RUN + 500, kind=FaultKind.NODE_CRASH, node=2),
+            ],
+            label="rank-then-node",
+        )
+    }
+
+
+def test_node_lost_in_rank_detection_window_still_shrinks():
+    rank_only = run_cluster_job(
+        _program(), 3, regime="stock", seed=9,
+        fault_plans={1: FaultPlan.schedule(
+            [FaultEvent(at=_MID_RUN, kind=FaultKind.RANK_CRASH, rank=2)],
+            label="rank-crash",
+        )},
+        tolerance=_restart_tol("shrink"),
+    )
+    job = ClusterJob(_program(), n_nodes=3, seed=9,
+                     fault_plans=_rank_then_node_plan(),
+                     tolerance=_restart_tol("shrink"))
+    result = job.run()
+    # One detection places both losses: the dead node's shard is spread
+    # over the two survivors instead of silently dropped.
+    assert result.detections == 1 and result.restarts == 1
+    assert result.node_crashes == 1 and result.shrinks == 1
+    assert result.surviving_nodes == 2
+    assert job._work_scale == 1.5
+    assert result.app_time > rank_only.app_time
+    assert not job._dead_pending
+
+
+def test_node_lost_in_rank_detection_window_fails_over():
+    job = ClusterJob(_program(), n_nodes=3, seed=9,
+                     fault_plans=_rank_then_node_plan(),
+                     tolerance=_restart_tol("failover"), spare_nodes=1)
+    result = job.run()
+    assert result.failovers == 1 and result.shrinks == 0
+    assert result.surviving_nodes == 3
+    assert not job._dead_pending
+
+
+def test_losing_every_node_fails_the_job():
+    crashes = {0: FaultPlan.schedule(
+        [FaultEvent(at=_MID_RUN, kind=FaultKind.NODE_CRASH, node=n)
+         for n in range(3)],
+        label="all-nodes",
+    )}
+    with pytest.raises(ClusterIncompleteError, match="no node is left"):
+        run_cluster_job(_program(), 3, regime="stock", seed=9,
+                        fault_plans=crashes, tolerance=_restart_tol("shrink"))
+
+
+#: Crash instants 60–90 ms in 0.5 ms steps: close enough together that a
+#: crash often lands inside another one's detection window.
+_crash_at = st.integers(0, 60).map(lambda k: msecs(60) + 500 * k)
+
+#: (plan node, event): a node fail-stop addressed from node 0's plan, or a
+#: rank crash on one of the three participants.
+_mixed_crash = st.one_of(
+    st.builds(
+        lambda at, node: (0, FaultEvent(at=at, kind=FaultKind.NODE_CRASH,
+                                        node=node)),
+        _crash_at, st.integers(0, 2),
+    ),
+    st.builds(
+        lambda at, node, rank: (node, FaultEvent(at=at, kind=FaultKind.RANK_CRASH,
+                                                 rank=rank)),
+        _crash_at, st.integers(0, 2), st.integers(0, 3),
+    ),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    crashes=st.lists(_mixed_crash, min_size=1, max_size=3),
+    recover=st.sampled_from(["failover", "shrink"]),
+    spares=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+)
+@example(
+    crashes=[
+        (1, FaultEvent(at=_MID_RUN, kind=FaultKind.RANK_CRASH, rank=2)),
+        (0, FaultEvent(at=_MID_RUN + 500, kind=FaultKind.NODE_CRASH, node=2)),
+    ],
+    recover="shrink", spares=0, seed=9,
+)
+def test_every_node_crash_is_placed_once(crashes, recover, spares, seed):
+    events_by_node = {}
+    for node, event in crashes:
+        events_by_node.setdefault(node, []).append(event)
+    job = ClusterJob(
+        _program(), n_nodes=3, nprocs_per_node=4, seed=seed,
+        fault_plans={
+            node: FaultPlan.schedule(events, label="mixed")
+            for node, events in events_by_node.items()
+        },
+        tolerance=_restart_tol(recover), spare_nodes=spares,
+    )
+    try:
+        result = job.run()
+    except ClusterIncompleteError:
+        assert job.failed is not None  # a decision (budget, no node left)
+        return
+    assert result.failovers + result.shrinks == result.node_crashes
+    assert result.surviving_nodes == (
+        3 - result.node_crashes + result.failovers
+    )
 
 
 # --------------------------------------------------------- degraded modes

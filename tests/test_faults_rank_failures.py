@@ -74,6 +74,21 @@ def test_restart_without_checkpoints_restarts_from_scratch():
     assert app._checkpoint_pos == -1  # never checkpointed: full rollback
 
 
+def test_second_restart_counts_lost_work_from_the_first_rollback():
+    # No checkpoint is ever taken, so each rollback restarts from scratch.
+    # The work lost to the second crash starts at the first rollback (52 ms),
+    # not at launch: the two charges add up to the last detection instant.
+    ft = FaultTolerance(mode="restart", detection_timeout=2_000,
+                        checkpoint_every=0, restart_cost=500)
+    kernel, app = _app(ft)
+    kernel.sim.after(50_000, lambda: app.crash_rank(0))
+    kernel.sim.after(80_000, lambda: app.crash_rank(0))
+    kernel.sim.run_until(60_000_000)
+    assert app.done and app.stats.restarts == 2
+    assert app.stats.lost_work_us == 82_000
+    assert app.stats.lost_work_us <= app.stats.wall_time
+
+
 def test_restart_after_early_exits_recounts_every_rank():
     # Rank 0 runs behind and crashes after its peers have already exited;
     # the rollback respawns all four, so all four must exit again.

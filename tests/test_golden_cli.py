@@ -59,6 +59,9 @@ CASES = {
     "cluster_campaign_crash_failover": [
         "faults", "is", "A", "--cluster", "--crash-node", "0",
         "--ft-mode", "restart", "--spares", "1", "-n", "2", *_EXEC],
+    "cluster_crash_rank_then_node": [
+        "faults", "is", "A", "--cluster", "--crash-rank", "0",
+        "--crash-node", "1", "--ft-mode", "restart", "--recover", "shrink"],
     "cluster_slow_degrade": [
         "faults", "is", "A", "--cluster", "--slow-node", "1",
         "--degrade-link", "500"],
@@ -69,6 +72,8 @@ CASES = {
         "faults", "is", "A", "--offline-cores", "4"],
     "cluster_crash_outside": [
         "faults", "is", "A", "--cluster", "--crash-node", "5"],
+    "cluster_crash_rank_outside": [
+        "faults", "is", "A", "--cluster", "--crash-rank", "6"],
     "cluster_bad_regime": [
         "faults", "is", "A", "--cluster", "--regime", "nice"],
     "batch_faults": [

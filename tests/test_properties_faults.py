@@ -7,7 +7,8 @@ run we check the invariants no fault sequence may violate:
 * placement: no non-idle task is ever RUNNING/RUNNABLE on an offline CPU;
 * bookkeeping: the kernel's consistency check stays clean;
 * conservation: every rank task is accounted for — finished, parked on an
-  offline CPU's wait list, or killed by a crash;
+  offline CPU's wait list, or killed by a crash, and the work a run
+  reports lost never exceeds its wall time;
 * determinism: the same seed and plan reproduce the same results bit for bit.
 """
 
@@ -141,6 +142,7 @@ def test_crashes_conserve_task_accounting(groups, seed, mode):
     assert app.done
     assert _offline_placement_ok(kernel) == []
     assert consistency_check(kernel) == []
+    assert app.stats.lost_work_us <= app.stats.wall_time
     if app.stats.aborted:
         # mpirun semantics: abort kills everything, nothing keeps running.
         assert all(not r.task.alive for r in app.ranks)
