@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-faults test-cluster test-batch test-batch-faults test-sanitize lint bench perf perf-diff perf-gate report figures examples clean
+.PHONY: install test test-faults test-cluster test-batch test-batch-faults test-fabric test-sanitize lint bench perf perf-diff perf-gate report figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -47,6 +47,15 @@ test-batch-faults:
 	$(PY) -m pytest tests/test_batch_faults.py \
 		tests/test_properties_batch_faults.py \
 		tests/test_batch_runtime_memo.py tests/test_golden_provenance.py
+
+# Campaign fabric: the supervisor's one dispatch loop (serial and pooled),
+# worker death and hard-deadline kills, journaled resume, the engine and
+# result cache (quarantine included), CLI supervision flags and telemetry.
+test-fabric:
+	$(PY) -m pytest tests/test_supervisor.py tests/test_supervisor_pool.py \
+		tests/test_resume.py tests/test_parallel_engine.py \
+		tests/test_parallel_cache.py tests/test_cache_quarantine.py \
+		tests/test_cli_supervision.py tests/test_obs_telemetry.py
 
 # Full suite with the scheduler invariant sanitizer attached to every
 # kernel (the simulator's lockdep/KASAN analog; see repro.kernel.invariants).

@@ -507,7 +507,8 @@ class MpiApplication:
         now = self.kernel.now
         self.stats.aborted = True
         started = self.stats.started_at
-        self.stats.lost_work_us += now - (now if started is None else started)
+        # The whole run is lost, including spans earlier restarts charged.
+        self.stats.lost_work_us = now - (now if started is None else started)
         self._teardown_incarnation()
         self.stats.finished_at = now
         self.stats.ranks_exited = self.nprocs

@@ -37,12 +37,16 @@ harness* as a system to be made fault-tolerant in its own right:
   way, the resumed campaign's results and provenance are byte-identical to
   an uninterrupted run.
 
-* **Ordering.**  Whatever order workers finish in, records (and therefore
+* **One loop, any worker count.**  Cache hits settle as they are found;
+  every miss goes through one submit → wait → settle loop.  With
+  ``n_jobs=1`` (or at most one miss) that loop submits to an in-process
+  executor whose futures come back already settled, so a serial campaign
+  never touches ``multiprocessing``; otherwise a process pool keeps at
+  most ``4 × n_jobs`` repetitions in flight, so a 1000-run campaign
+  neither floods the executor queue nor holds every pickled result alive
+  at once.  Whatever order runs finish in, records (and therefore
   provenance JSONL) are emitted strictly in run-index order, so outputs
-  are byte-identical to a serial run at any worker count; ``n_jobs=1``
-  never touches ``multiprocessing``.  At most ``chunk_factor × n_jobs``
-  repetitions are in flight, so a 1000-run campaign neither floods the
-  executor queue nor holds every pickled result alive at once.
+  are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -55,13 +59,14 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.engine import (
@@ -317,21 +322,10 @@ class SupervisorConfig:
     #: Salvage completed runs into a partial result instead of failing the
     #: campaign when a repetition exhausts its retries (fatal still raises).
     allow_partial: bool = False
-    #: Pool-shrink floor under repeated worker death.
-    min_workers: int = 1
-    #: Supervisor-side hard deadline, as a multiple of ``timeout_s``, after
-    #: which an in-flight worker is presumed wedged beyond its own alarm and
-    #: the pool is killed.  The in-worker timer fires first in the normal
-    #: case; this is the backstop for workers stuck outside the interpreter.
-    kill_grace: float = 2.0
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if self.min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
-        if self.kill_grace < 1.0:
-            raise ValueError("kill_grace must be >= 1")
 
 
 @dataclass
@@ -525,6 +519,16 @@ def _call_with_timeout(
 
 # ------------------------------------------------------------------ internals
 
+#: Repetitions in flight per pool worker.  Bounds the executor queue and the
+#: pickled results held alive at once, and sets the hard deadline below.
+_CHUNK_FACTOR = 4
+
+#: Budgets beyond ``_CHUNK_FACTOR`` before the supervisor presumes an
+#: in-flight pool future wedged past its own alarm and kills the pool.  The
+#: in-worker timer fires first in the normal case; this is the backstop for
+#: workers stuck outside the interpreter.
+_KILL_GRACE = 2.0
+
 
 @dataclass
 class _PendingRun:
@@ -540,6 +544,23 @@ class _PendingRun:
     #: telemetry is dispatch time minus this.
     ready_at: float = 0.0
     timed_out: bool = False
+
+
+class _InlineExecutor:
+    """The executor behind serial campaigns: ``submit`` runs the call in
+    this process and returns an already-settled future, so ``n_jobs=1``
+    shares the pool's loop without ever touching ``multiprocessing``."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
 
 
 class _Supervisor:
@@ -558,7 +579,6 @@ class _Supervisor:
         journal: Optional[CampaignJournal],
         replayable: Dict[int, str],
         spec_digests: Optional[Sequence[str]],
-        chunk_factor: int,
         sleep: Callable[[float], None],
         telemetry=None,
     ) -> None:
@@ -572,16 +592,13 @@ class _Supervisor:
         self.journal = journal
         self.replayable = replayable
         self.spec_digests = spec_digests
-        self.chunk_factor = chunk_factor
         self.sleep = sleep
         self.telemetry = telemetry if telemetry is not None else _NULL_TELEMETRY
 
         self.result = SupervisedResult(records=[])
-        # Pool-path parking lots: runs waiting out their backoff between
-        # redispatches, and runs requeued by a pool break for the next pool
-        # incarnation.
+        # Runs waiting out their backoff before redispatch: retries and
+        # pool-break casualties alike.
         self._deferred: List[_PendingRun] = []
-        self._waiting: List[_PendingRun] = []
         self._pending: Dict[int, RunRecord] = {}
         self._holes_by_index: Dict[int, RunHole] = {}
         self._next_index = specs[0].run_index if specs else 0
@@ -702,92 +719,134 @@ class _Supervisor:
     # --------------------------------------------------------------- running
 
     def run(self) -> SupervisedResult:
-        to_run: List[_PendingRun] = []
-        settled: List[RunRecord] = []
-        journal_done: Set[int] = set(self.replayable)
+        queue: List[_PendingRun] = []
         started = time.monotonic()
         digests = self.spec_digests or [""] * len(self.specs)
         for spec, digest in zip(self.specs, digests):
-            if self.cache is not None:
-                found = self.cache.get(digest)
-                if found is not None:
-                    result, faults = found
-                    record = RunRecord(
-                        run_index=spec.run_index,
-                        seed=spec.seed,
-                        digest=digest,
-                        result=result,
-                        faults=faults,
-                        cache_hit=True,
-                    )
-                    settled.append(record)
-                    if (
-                        spec.run_index in journal_done
-                        and self.replayable[spec.run_index] == digest
-                    ):
-                        self.result.replayed += 1
-                    continue
-            to_run.append(
-                _PendingRun(spec=spec, digest=digest, ready_at=started)
+            found = self.cache.get(digest) if self.cache is not None else None
+            if found is None:
+                queue.append(_PendingRun(spec=spec, digest=digest, ready_at=started))
+                continue
+            if self.replayable.get(spec.run_index) == digest:
+                self.result.replayed += 1
+            result, faults = found
+            self._finish(
+                RunRecord(
+                    run_index=spec.run_index,
+                    seed=spec.seed,
+                    digest=digest,
+                    result=result,
+                    faults=faults,
+                    cache_hit=True,
+                )
             )
-
-        if self.n_jobs == 1 or len(to_run) <= 1:
-            self._run_serial(to_run, settled)
-        else:
-            for record in settled:
-                self._finish(record)
-            self._run_pool(to_run)
+        self._execute(queue, inline=self.n_jobs == 1 or len(queue) <= 1)
         return self.result
 
-    # ---------------------------------------------------------- serial path
+    def _execute(self, queue: List[_PendingRun], *, inline: bool) -> None:
+        """Submit → wait → settle until every run in *queue* is settled.
 
-    def _run_serial(self, to_run: List[_PendingRun], settled: List[RunRecord]) -> None:
-        """In-process loop in run-index order, hits interleaved — the exact
-        legacy serial path, plus the attempt loop around each miss."""
-        misses = {run.spec.run_index: run for run in to_run}
-        hits = {r.run_index: r for r in settled}
-        for spec in self.specs:
-            if spec.run_index in hits:
-                self._finish(hits[spec.run_index])
-                continue
-            run = misses[spec.run_index]
-            while True:
-                dispatched = time.monotonic()
-                try:
-                    result, faults = _call_with_timeout(
-                        self.worker, run.spec, self.config.timeout_s
+        *inline* runs each repetition in this process, one at a time;
+        otherwise a process pool keeps ``_CHUNK_FACTOR`` runs per worker in
+        flight.  A failed attempt parks in ``_deferred`` until its seeded
+        backoff expires — whether the run raised or the pool broke under
+        it — so a waiting run never blocks the runs behind it."""
+        jobs = 1 if inline else self.n_jobs
+        hard_deadline = None if inline else self._hard_deadline()
+        pool = None
+        futures: Dict[Future, Tuple[_PendingRun, float]] = {}
+        breaks = 0
+        try:
+            while queue or futures or self._deferred:
+                now = time.monotonic()
+                if not queue and not futures:
+                    # Idle: wait out the earliest backoff.  Admission is by
+                    # the wake instant, so an injected sleep also works.
+                    wake = min(run.eligible_at for run in self._deferred)
+                    if wake > now:
+                        self.sleep(wake - now)
+                    now = max(now, wake)
+                still: List[_PendingRun] = []
+                for run in self._deferred:
+                    (queue if run.eligible_at <= now else still).append(run)
+                self._deferred = still
+                if pool is None:
+                    pool = (
+                        _InlineExecutor()
+                        if inline
+                        else ProcessPoolExecutor(
+                            max_workers=min(jobs, len(queue) + len(still))
+                        )
                     )
-                except Exception as exc:
-                    if self._register_failure(run, exc):
-                        delay = run.eligible_at - time.monotonic()
-                        if delay > 0:
-                            self.sleep(delay)
-                        continue
-                    break  # salvaged as a hole
-                self._finish(
-                    RunRecord(
-                        run_index=run.spec.run_index,
-                        seed=run.spec.seed,
-                        digest=run.digest,
-                        result=result,
-                        faults=faults,
-                    ),
-                    wall_s=time.monotonic() - dispatched,
-                    wait_s=dispatched - run.ready_at,
-                    attempts=len(run.attempts) + 1,
-                )
-                break
 
-    # ------------------------------------------------------------ pool path
+                window = 1 if inline else _CHUNK_FACTOR * jobs
+                broken: Optional[BrokenExecutor] = None
+                deadline_hit = False
+                while queue and len(futures) < window:
+                    dispatched = time.monotonic()
+                    try:
+                        future = pool.submit(
+                            _call_with_timeout,
+                            self.worker,
+                            queue[0].spec,
+                            self.config.timeout_s,
+                        )
+                    except BrokenExecutor as exc:
+                        broken = exc  # the run stays at the head of the queue
+                        break
+                    futures[future] = (queue.pop(0), dispatched)
+                if broken is None:
+                    done, _ = wait(
+                        futures,
+                        timeout=0.25 if (hard_deadline or self._deferred) else None,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if not done and hard_deadline is not None:
+                        oldest = min(t for _, t in futures.values())
+                        deadline_hit = time.monotonic() - oldest > hard_deadline
+                    for future in done:
+                        run, dispatched = futures.pop(future)
+                        try:
+                            result, faults = future.result()
+                        except Exception as exc:
+                            if isinstance(exc, BrokenExecutor) and not inline:
+                                futures[future] = (run, dispatched)
+                                broken = exc
+                            elif self._register_failure(run, exc):
+                                self._deferred.append(run)
+                            continue
+                        self._finish(
+                            RunRecord(
+                                run_index=run.spec.run_index,
+                                seed=run.spec.seed,
+                                digest=run.digest,
+                                result=result,
+                                faults=faults,
+                            ),
+                            wall_s=time.monotonic() - dispatched,
+                            wait_s=dispatched - run.ready_at,
+                            attempts=len(run.attempts) + 1,
+                        )
+                if broken is not None or deadline_hit:
+                    dead, pool = pool, None
+                    self._break_pool(dead, futures, broken)
+                    breaks += 1
+                    if breaks >= 2 and jobs > 1:
+                        jobs //= 2
+                        self.result.pool_shrinks += 1
+                        self.telemetry.pool_shrink(jobs=jobs)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True)
 
     def _hard_deadline(self) -> Optional[float]:
-        """Seconds after dispatch at which an in-flight future is presumed
-        wedged.  Submission windows hold at most ``chunk_factor`` runs per
-        worker, so a healthy future must start (and alarm) well within
-        ``chunk_factor + kill_grace`` budgets."""
+        """Seconds after dispatch at which an in-flight pool future is
+        presumed wedged.  Submission windows hold at most ``_CHUNK_FACTOR``
+        runs per worker, so a healthy future must start (and alarm) well
+        within ``_CHUNK_FACTOR + _KILL_GRACE`` budgets."""
         if self.config.timeout_s is None:
             return None
-        return self.config.timeout_s * (self.chunk_factor + self.config.kill_grace)
+        return self.config.timeout_s * (_CHUNK_FACTOR + _KILL_GRACE)
 
     def _kill_pool(self, pool: ProcessPoolExecutor) -> int:
         """Forcibly terminate a pool's worker processes; returns survivors.
@@ -810,112 +869,15 @@ class _Supervisor:
                 pass
         return sum(1 for proc in processes if proc.is_alive())
 
-    def _run_pool(self, to_run: List[_PendingRun]) -> None:
-        queue: List[_PendingRun] = list(to_run)
-        jobs = self.n_jobs
-        consecutive_breaks = 0
-        hard_deadline = self._hard_deadline()
-
-        while queue or self._has_waiting():
-            queue.extend(self._waiting)
-            self._waiting = []
-            if not queue:
-                wake = min(run.eligible_at for run in self._deferred)
-                self.sleep(max(wake - time.monotonic(), 0.01))
-                queue, self._deferred = self._deferred, []
-                continue
-            window = self.chunk_factor * jobs
-            pool = ProcessPoolExecutor(max_workers=min(jobs, max(len(queue), 1)))
-            futures: Dict[object, Tuple[_PendingRun, float]] = {}
-            broke = False
-            try:
-                while queue or futures or self._deferred:
-                    now = time.monotonic()
-                    # Re-admit deferred runs whose backoff expired.
-                    still: List[_PendingRun] = []
-                    for run in self._deferred:
-                        (queue if run.eligible_at <= now else still).append(run)
-                    self._deferred = still
-                    while queue and len(futures) < window:
-                        run = queue.pop(0)
-                        futures[
-                            pool.submit(
-                                _call_with_timeout,
-                                self.worker,
-                                run.spec,
-                                self.config.timeout_s,
-                            )
-                        ] = (run, now)
-                    if not futures:
-                        wake = min(r.eligible_at for r in self._deferred)
-                        self.sleep(max(wake - time.monotonic(), 0.01))
-                        continue
-                    timeout = 0.25 if (hard_deadline or self._deferred) else None
-                    done, _ = wait(
-                        futures, timeout=timeout, return_when=FIRST_COMPLETED
-                    )
-                    if not done and hard_deadline is not None:
-                        oldest = min(t for _, t in futures.values())
-                        if time.monotonic() - oldest > hard_deadline:
-                            broke = self._break_pool(pool, futures, None)
-                            break
-                        continue
-                    for future in done:
-                        run, dispatched = futures.pop(future)
-                        try:
-                            result, faults = future.result()
-                        except Exception as exc:
-                            if type(exc).__name__ in (
-                                "BrokenProcessPool",
-                                "BrokenExecutor",
-                            ):
-                                futures[future] = (run, 0.0)
-                                broke = self._break_pool(pool, futures, exc)
-                                break
-                            if self._register_failure(run, exc):
-                                self._deferred.append(run)
-                            continue
-                        self._finish(
-                            RunRecord(
-                                run_index=run.spec.run_index,
-                                seed=run.spec.seed,
-                                digest=run.digest,
-                                result=result,
-                                faults=faults,
-                            ),
-                            wall_s=time.monotonic() - dispatched,
-                            wait_s=dispatched - run.ready_at,
-                            attempts=len(run.attempts) + 1,
-                        )
-                    if broke:
-                        break
-            finally:
-                if not broke:
-                    pool.shutdown(wait=True)
-            if broke:
-                consecutive_breaks += 1
-                if consecutive_breaks >= 2 and jobs > self.config.min_workers:
-                    jobs = max(self.config.min_workers, jobs // 2)
-                    self.result.pool_shrinks += 1
-                    self.telemetry.pool_shrink(jobs=jobs)
-            else:
-                consecutive_breaks = 0
-            # On a clean drain the queue is already empty; after a break it
-            # still holds the unsubmitted remainder of the window, which the
-            # next pool incarnation picks up alongside the requeued
-            # in-flight runs — nothing is dropped.
-
-    def _has_waiting(self) -> bool:
-        return bool(self._deferred) or bool(self._waiting)
-
     def _break_pool(
         self,
         pool: ProcessPoolExecutor,
-        futures: Dict[object, Tuple[_PendingRun, float]],
+        futures: Dict[Future, Tuple[_PendingRun, float]],
         cause: Optional[BaseException],
-    ) -> bool:
+    ) -> None:
         """A worker died (or the supervisor killed a wedged pool): charge
-        every in-flight run one transient failure and requeue the rest.
+        every in-flight run one transient failure and park it for its
+        seeded backoff.
 
         On a hard-deadline kill (*cause* is None) each run is charged an
         error of its own: a :class:`RunTimeoutError` carrying *its* run
@@ -958,8 +920,7 @@ class _Supervisor:
                     survivors=survivors,
                 ) from final
             if retry:
-                self._waiting.append(run)
-        return True
+                self._deferred.append(run)
 
 
 # ------------------------------------------------------------------ front API
@@ -978,7 +939,6 @@ def supervise_campaign(
     digest: Optional[str] = None,
     spec_digests: Optional[Sequence[str]] = None,
     resume: bool = False,
-    chunk_factor: int = 4,
     sleep: Callable[[float], None] = time.sleep,
     telemetry=None,
 ) -> SupervisedResult:
@@ -1012,8 +972,6 @@ def supervise_campaign(
     dispatch order, retry schedules, or the byte-identical result contract.
     """
     n_jobs = resolve_jobs(n_jobs)
-    if chunk_factor < 1:
-        raise ValueError("chunk_factor must be >= 1")
     config = config or SupervisorConfig()
 
     journal: Optional[CampaignJournal] = None
@@ -1043,7 +1001,6 @@ def supervise_campaign(
         journal=journal,
         replayable=replayable,
         spec_digests=spec_digests,
-        chunk_factor=chunk_factor,
         sleep=sleep,
         telemetry=telemetry,
     )

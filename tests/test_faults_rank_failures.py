@@ -130,6 +130,7 @@ def test_max_restarts_falls_back_to_abort():
     kernel.sim.run_until(120_000_000)
     assert app.done and app.stats.aborted
     assert app.stats.restarts == 1  # used the budget, then gave up
+    assert app.stats.lost_work_us == app.stats.wall_time  # charged once
 
 
 def test_all_ranks_crashed_still_detected():

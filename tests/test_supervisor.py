@@ -143,10 +143,6 @@ def test_retry_policy_validation():
 def test_supervisor_config_validation():
     with pytest.raises(ValueError):
         SupervisorConfig(timeout_s=0)
-    with pytest.raises(ValueError):
-        SupervisorConfig(min_workers=0)
-    with pytest.raises(ValueError):
-        SupervisorConfig(kill_grace=0.5)
 
 
 # ------------------------------------------------------------------- retry
@@ -174,6 +170,36 @@ def test_transient_failure_retries_then_succeeds():
     # The waits observed are exactly the seeded backoff schedule.
     expected = backoff_schedule(RetryPolicy(), specs[1].seed, 2)
     assert slept == pytest.approx(expected, abs=0.05)
+
+
+def test_serial_campaigns_never_build_a_process_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial campaign built a process pool")
+
+    monkeypatch.setattr(
+        "repro.parallel.supervisor.ProcessPoolExecutor", no_pool
+    )
+    specs = _specs(4, base_seed=29)
+    calls = {"n": 0}
+
+    def flaky(spec):
+        if spec.run_index == 2:
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise OSError(errno.EAGAIN, "transient harness fault")
+        return spec.seed, None
+
+    result = supervise_campaign(specs, flaky, n_jobs=1, sleep=lambda s: None)
+    assert [r.result for r in result.records] == [s.seed for s in specs]
+    assert result.retries == 1
+
+    # A warm cache with one miss runs that miss in-process at any n_jobs.
+    cache = ResultCache(str(tmp_path))
+    supervise_campaign(specs, _ok, n_jobs=1, cache=cache)
+    cache.path_for(specs[2].digest()).unlink()
+    warm = supervise_campaign(specs, _ok, n_jobs=2, cache=cache)
+    assert [r.cache_hit for r in warm.records] == [True, True, False, True]
+    assert [r.result for r in warm.records] == [s.seed * 2 for s in specs]
 
 
 def test_deterministic_failure_fails_fast_with_history():

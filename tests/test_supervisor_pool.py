@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from functools import partial
 
@@ -21,6 +22,7 @@ from repro.parallel import (
     RetryPolicy,
     SupervisorConfig,
     WorkerPoolError,
+    backoff_delay,
     supervise_campaign,
 )
 from repro.topology.presets import generic_smp
@@ -66,6 +68,30 @@ def _die_once(flag_dir: str, spec):
 
 def _die_always(spec):
     os._exit(1)
+
+
+def _exit_soon():
+    time.sleep(0.05)
+    os._exit(1)
+
+
+def _die_after_returning_once(flag_dir: str, spec):
+    """Run 0 returns normally, then its worker process dies 50 ms later
+    (first attempt only) — between results, not under a running future."""
+    flag = os.path.join(flag_dir, f"late-{spec.run_index}")
+    if spec.run_index == 0 and not os.path.exists(flag):
+        with open(flag, "w"):
+            pass
+        threading.Thread(target=_exit_soon, daemon=True).start()
+    return spec.seed, None
+
+
+def _stamp_and_die_once(flag_dir: str, spec):
+    """:func:`_die_once`, with each of run 1's attempt starts stamped."""
+    if spec.run_index == 1:
+        with open(os.path.join(flag_dir, "starts"), "a") as fh:
+            fh.write(f"{time.time()!r}\n")
+    return _die_once(flag_dir, spec)
 
 
 def _hang_hard_once(flag_dir: str, spec):
@@ -127,17 +153,55 @@ def test_worker_pool_error_reports_pool_size_and_survivors():
 
 
 def test_pool_break_does_not_drop_unsubmitted_runs(tmp_path):
-    # Regression: with more runs than the submission window
-    # (chunk_factor * jobs), a pool break used to discard the unsubmitted
+    # Regression: with more runs than the submission window (4 runs per
+    # worker, so 8 here), a pool break used to discard the unsubmitted
     # remainder of the queue and terminate with silently truncated records.
-    specs = _specs(6, base_seed=13)
+    specs = _specs(10, base_seed=13)
     result = supervise_campaign(
-        specs, partial(_die_once, str(tmp_path)), n_jobs=2, chunk_factor=1,
+        specs, partial(_die_once, str(tmp_path)), n_jobs=2,
         config=SupervisorConfig(retry=RetryPolicy(max_retries=3)),
     )
-    assert [r.run_index for r in result.records] == [0, 1, 2, 3, 4, 5]
+    assert [r.run_index for r in result.records] == list(range(10))
     assert [r.result for r in result.records] == [s.seed for s in specs]
     assert not result.holes
+
+
+def test_worker_death_seen_at_submit_requeues_and_completes(tmp_path):
+    # Regression: a worker that dies while the parent is busy settling a
+    # result is first noticed by the next submit, which raises the pool
+    # break there instead of from a future.  That must requeue, not abort.
+    specs = _specs(12, base_seed=19)
+    slowed = []
+
+    def slow_first_progress(done, total):
+        if not slowed:
+            slowed.append(done)
+            time.sleep(0.3)  # the worker dies meanwhile
+
+    result = supervise_campaign(
+        specs, partial(_die_after_returning_once, str(tmp_path)), n_jobs=2,
+        progress=slow_first_progress,
+        config=SupervisorConfig(retry=RetryPolicy(max_retries=3)),
+    )
+    assert [r.run_index for r in result.records] == list(range(12))
+    assert [r.result for r in result.records] == [s.seed for s in specs]
+    assert not result.holes
+
+
+def test_pool_break_casualty_waits_out_its_backoff(tmp_path):
+    # Regression: runs charged by a pool break used to be resubmitted to
+    # the next pool at once, skipping the seeded backoff the retry
+    # telemetry reports for them.
+    specs = _specs(4, base_seed=23)
+    policy = RetryPolicy(max_retries=3, backoff_base_s=0.5)
+    result = supervise_campaign(
+        specs, partial(_stamp_and_die_once, str(tmp_path)), n_jobs=2,
+        config=SupervisorConfig(retry=policy),
+    )
+    assert [r.run_index for r in result.records] == [0, 1, 2, 3]
+    starts = [float(x) for x in (tmp_path / "starts").read_text().split()]
+    assert len(starts) == 2
+    assert starts[1] - starts[0] >= backoff_delay(policy, specs[1].seed, 1)
 
 
 def test_hard_deadline_kill_charges_only_the_wedged_run(tmp_path):
@@ -148,8 +212,7 @@ def test_hard_deadline_kill_charges_only_the_wedged_run(tmp_path):
     specs = _specs(4, base_seed=17)
     result = supervise_campaign(
         specs, partial(_hang_hard_once, str(tmp_path)), n_jobs=2,
-        chunk_factor=1,
-        config=SupervisorConfig(timeout_s=0.3, kill_grace=1.0),
+        config=SupervisorConfig(timeout_s=0.3),
     )
     assert [r.run_index for r in result.records] == [0, 1, 2, 3]
     assert result.timeouts == 1
