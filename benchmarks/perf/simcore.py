@@ -14,10 +14,12 @@ The suite measures the per-event hot path at three granularities:
 * **fabric** — a warm-cache replay of an 8-run ``lu.A`` campaign: spec
   building and digesting, cache reads, the journal and provenance, with
   no simulation at all (the path a cached report regeneration takes);
-* **batch** — the batch dispatcher alone: one 1k-job backlog trace
-  (arrivals at about twice the drain rate) on a 16-node pool under
-  analytic pricing, for the ``priority`` and ``share`` policies, reported
-  as dispatched jobs per wall second.
+* **batch** — the batch dispatcher alone, under analytic pricing on a
+  16-node pool, reported as dispatched jobs per wall second: one 1k-job
+  backlog trace (arrivals at about twice the drain rate) per policy, and
+  an MTBF-churn lane (perfbench's ``batch-churn`` shape: shallow queue,
+  dense node fail/return timeline, all four policies).  The price memo is
+  cleared before every repetition, so each scores pricing plus dispatch.
 
 Every metric reduces to one ``score`` where **higher is better**.  A run
 also measures a fixed pure-Python *calibration* workload; the regression
@@ -280,27 +282,69 @@ def fabric_replay(reps: int = DEFAULT_REPS, n_runs: int = 8) -> Dict[str, float]
     return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
 
 
-def batch_dispatch(policy: str, reps: int = DEFAULT_REPS) -> Dict[str, float]:
-    """One 1k-job backlog trace dispatched under *policy* (jobs/sec).
+def _batch_lane(legs, reps: int) -> Dict[str, float]:
+    """Dispatch every ``(trace, policy, extra simulate_batch kwargs)`` leg
+    on a 16-node pool under analytic pricing (jobs/sec).
 
     Analytic pricing keeps the node-level simulator out of the
-    measurement, so the score is the dispatcher's own cost: queue
-    ordering, release and residency bookkeeping, processor-sharing
-    repricing."""
-    from repro.batch import WorkloadConfig, generate_trace, simulate_batch
+    measurement, so the score is the batch layer's own cost: pricing,
+    queue ordering, release and residency bookkeeping, processor-sharing
+    repricing, eviction and requeue.  The price memo is cleared before
+    each repetition so a repetition never finds its jobs already priced."""
+    from repro.batch import clear_runtime_memo, simulate_batch
+
+    n_jobs = sum(len(trace) for trace, _, _ in legs)
+
+    def run() -> Tuple[float, float]:
+        clear_runtime_memo()
+        t0 = time.perf_counter()
+        for trace, policy, extra in legs:
+            simulate_batch(trace, 16, policy, runtime_model="analytic",
+                           **extra)
+        dt = time.perf_counter() - t0
+        return n_jobs / dt, dt
+
+    score, wall = _best_of(run, reps)
+    return {"score": score, "unit": "jobs/s", "wall_s": round(wall, 4)}
+
+
+def batch_dispatch(policy: str, reps: int = DEFAULT_REPS) -> Dict[str, float]:
+    """One 1k-job backlog trace dispatched under *policy* (jobs/sec)."""
+    from repro.batch import WorkloadConfig, generate_trace
 
     trace = generate_trace(
         WorkloadConfig(n_jobs=1_000, interarrival_us=1_840, max_nodes=4), 0
     )
+    return _batch_lane([(trace, policy, {})], reps)
 
-    def run() -> Tuple[float, float]:
-        t0 = time.perf_counter()
-        simulate_batch(trace, 16, policy, runtime_model="analytic")
-        dt = time.perf_counter() - t0
-        return len(trace) / dt, dt
 
-    score, wall = _best_of(run, reps)
-    return {"score": score, "unit": "jobs/s", "wall_s": round(wall, 4)}
+def batch_churn(reps: int = DEFAULT_REPS) -> Dict[str, float]:
+    """Four 200-job traces under a dense MTBF fail/return timeline, each
+    dispatched under all four policies (jobs/sec).
+
+    The shape of perfbench's ``batch-churn``: arrivals below the drain
+    rate, four failures per node over the arrival horizon, repair after
+    1/200 of it, and a retry budget every job survives — so eviction,
+    requeue and checkpoint-aware repricing dominate."""
+    from repro.batch import WorkloadConfig, generate_trace
+    from repro.faults.plan import FaultPlan
+
+    legs = []
+    for seed in range(4):
+        trace = generate_trace(
+            WorkloadConfig(n_jobs=200, interarrival_us=7_400, max_nodes=4),
+            seed,
+        )
+        horizon = trace[-1].submit
+        extra = {
+            "fault_plan": FaultPlan.mtbf(seed, horizon=horizon, n_nodes=16,
+                                         mtbf_us=horizon // 4,
+                                         repair_us=horizon // 200),
+            "job_retries": 64,
+        }
+        legs.extend((trace, policy, extra)
+                    for policy in ("fcfs", "easy", "priority", "share"))
+    return _batch_lane(legs, reps)
 
 
 #: Metric name -> zero-argument measurement callable.  Ordered micro →
@@ -316,8 +360,11 @@ SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "nas_is_A_stock": lambda: _macro_nas("is", "A", "stock", DEFAULT_REPS, inner=4),
     "campaign_is_A_16": campaign_is_a,
     "fabric_replay": fabric_replay,
+    "batch_dispatch_fcfs": lambda: batch_dispatch("fcfs"),
+    "batch_dispatch_easy": lambda: batch_dispatch("easy"),
     "batch_dispatch_priority": lambda: batch_dispatch("priority"),
     "batch_dispatch_share": lambda: batch_dispatch("share"),
+    "batch_churn": batch_churn,
 }
 
 

@@ -6,14 +6,19 @@ dispatcher replays a whole arrival trace against a fixed pool, asking the
 policy who starts next after every arrival, every completion — and, when a
 :class:`~repro.faults.plan.FaultPlan` is armed, every pool fault.
 
-Determinism is the load-bearing wall.  All clocks are
-:class:`fractions.Fraction`, so fractional-sharing service rates (1/2,
-1/3, ...) never accumulate float error; event ordering is a total order on
-``(time, kind, sequence)``; node selection is lowest-id-first.  A schedule
-is therefore a pure function of ``(trace, pool, policy, runtime model,
-fault plan)`` and :meth:`BatchResult.schedule_digest` is stable across
-platforms and process counts — the property the campaign fabric's
-byte-determinism contract (and CI's determinism gate) stands on.
+Determinism is the load-bearing wall.  All clocks are exact rationals: a
+plain ``int`` while integral, a :class:`fractions.Fraction` only where
+processor sharing divides (the work a shared job still owes is
+``(finish_at - now) / load``).  Every stored time and amount goes through
+:func:`_exact`, which turns a Fraction with denominator 1 back into its
+``int``, so fcfs, easy and priority never build a Fraction, and sharing
+rates (1/2, 1/3, ...) never accumulate float error.  Event ordering is a
+total order on ``(time, kind, sequence)``; node selection is
+lowest-id-first.  A schedule is therefore a pure function of ``(trace,
+pool, policy, runtime model, fault plan)`` and
+:meth:`BatchResult.schedule_digest` is stable across platforms and
+process counts — the property the campaign fabric's byte-determinism
+contract (and CI's determinism gate) stands on.
 
 Rigid policies enforce walltime limits: a job is killed at
 ``start + estimate`` if the node-level simulation runs longer.  That is
@@ -43,11 +48,12 @@ schedules and digests are byte-identical to historical ones.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.batch.policies import BatchPolicy, make_policy
 from repro.batch.runtime import base_runtime_us
@@ -85,6 +91,19 @@ _DOWN = "down"
 PLACEMENTS = ("lowest", "wary")
 
 
+#: An exact dispatcher time or amount, µs: ``int`` unless sharing divided it.
+Exact = Union[int, Fraction]
+
+
+def _exact(value: Exact) -> Exact:
+    """*value* in canonical form: an integral Fraction becomes its ``int``
+    (equal, and every result derived from it is byte-identical), anything
+    else is returned as is."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 def validate_batch_fault_plan(plan: FaultPlan, pool_nodes: int) -> None:
     """Reject plans the batch layer cannot consume (wrong universe or a
     node index outside the pool).  Campaigns call this eagerly so a bad
@@ -110,9 +129,9 @@ class _Running:
         "finish_at", "load", "version", "backfilled", "shared_peak",
     )
 
-    def __init__(self, job: BatchJob, nodes: Tuple[int, ...], start: Fraction,
+    def __init__(self, job: BatchJob, nodes: Tuple[int, ...], start: Exact,
                  base_runtime: int, limit: Optional[int],
-                 demand: Fraction) -> None:
+                 demand: Exact) -> None:
         self.job = job
         self.nodes = nodes
         self.start = start
@@ -127,8 +146,8 @@ class _Running:
         #: only when its load changes, so the work it still owes is always
         #: (finish_at - now) / load — settled where it is read, never per
         #: event.
-        self.finish_at = start + (min(demand, Fraction(limit))
-                                  if limit is not None else demand)
+        self.finish_at = _exact(start + (min(demand, limit)
+                                         if limit is not None else demand))
         #: Worst residency across the job's nodes (shared jobs only).
         self.load = 1
         self.version = 0
@@ -136,7 +155,7 @@ class _Running:
         self.shared_peak = 1
 
     @property
-    def guaranteed_release(self) -> Fraction:
+    def guaranteed_release(self) -> Exact:
         """Latest instant this job can still hold its nodes (rigid only;
         the walltime kill makes this a hard bound, which is what EASY's
         reservation arithmetic requires)."""
@@ -332,7 +351,7 @@ class BatchDispatcher:
         self._armed = fault_plan is not None and not fault_plan.is_empty
         self._sanitize = sanitizer_enabled()
 
-        self.now: Fraction = Fraction(0)
+        self.now: Exact = 0
         self.queue: List[BatchJob] = []
         self._queue_serials: List[int] = []  # parallel to queue, ascending
         self._queued: Dict[int, int] = {}  # job_id -> enqueue serial
@@ -340,7 +359,7 @@ class BatchDispatcher:
         self.ranked: Optional[List[tuple]] = (
             [] if policy.rank_key is not None else None)
         self.running: Dict[int, _Running] = {}
-        self.releases: List[Tuple[Fraction, int]] = []
+        self.releases: List[Tuple[Exact, int]] = []
         self._free: List[int] = list(range(pool_nodes))  # kept sorted
         self._on_node: List[Dict[int, _Running]] = [
             {} for _ in range(pool_nodes)
@@ -356,17 +375,17 @@ class BatchDispatcher:
         self._next_shared: Optional[_Running] = None
         self._next_stale = True
         self._done: Dict[int, JobOutcome] = {}
-        self._busy_node_time: Fraction = Fraction(0)
-        self._node_lost_time: Fraction = Fraction(0)
-        self._promises: Dict[int, Fraction] = {}
-        self._starts: Dict[int, Fraction] = {}
+        self._busy_node_time: Exact = 0
+        self._node_lost_time: Exact = 0
+        self._promises: Dict[int, Exact] = {}
+        self._starts: Dict[int, Exact] = {}
         # Cross-incarnation job state (all empty on an unarmed run).
-        self._first_start: Dict[int, Fraction] = {}
-        self._completed: Dict[int, Fraction] = {}
+        self._first_start: Dict[int, Exact] = {}
+        self._completed: Dict[int, Exact] = {}
         self._requeue_count: Dict[int, int] = {}
         self._retries_used: Dict[int, int] = {}
-        self._wall: Dict[int, Fraction] = {}
-        self._held: Dict[int, Fraction] = {}
+        self._wall: Dict[int, Exact] = {}
+        self._held: Dict[int, Exact] = {}
         self._peak: Dict[int, int] = {}
 
         self.backfills = 0
@@ -408,7 +427,7 @@ class BatchDispatcher:
         come back at release."""
         return sum(1 for n in rj.nodes if self._node_state[n] == _UP)
 
-    def record_reservation(self, job_id: int, latest_start: Fraction) -> None:
+    def record_reservation(self, job_id: int, latest_start: Exact) -> None:
         """EASY announces the head's reservation; keep the tightest bound
         ever promised so the audit is against the strongest claim."""
         prev = self._promises.get(job_id)
@@ -491,15 +510,15 @@ class BatchDispatcher:
         else:
             self._next_stale = True
 
-    def _incarnation_demand(self, job: BatchJob, base: int) -> Fraction:
+    def _incarnation_demand(self, job: BatchJob, base: int) -> Exact:
         """Service this start owes: the full base on a first start; on a
         restart, the unfinished fraction plus the checkpoint-resume cost
         (completed work survives eviction)."""
-        done = self._completed.get(job.job_id, Fraction(0))
+        done = self._completed.get(job.job_id, 0)
         cost = (self.restart_cost_us
                 if self._requeue_count.get(job.job_id, 0) else 0)
-        demand = Fraction(base) - done + cost
-        return demand if demand > 0 else Fraction(0)
+        demand = base - done + cost
+        return _exact(demand) if demand > 0 else 0
 
     # -- the queue and its indexes -----------------------------------------
 
@@ -524,10 +543,10 @@ class BatchDispatcher:
 
     def dispatch(self) -> BatchResult:
         for job in self.jobs:
-            self._push(Fraction(job.submit), _EV_ARRIVAL, job.job_id, 0)
+            self._push(job.submit, _EV_ARRIVAL, job.job_id, 0)
         if self._armed:
             for idx, ev in enumerate(self.fault_plan.events):
-                self._push(Fraction(ev.at), _EV_FAULT, idx, 0)
+                self._push(ev.at, _EV_FAULT, idx, 0)
         by_id = {job.job_id: job for job in self.jobs}
         events = self._events
         while True:
@@ -561,7 +580,10 @@ class BatchDispatcher:
         for job in list(self.queue):
             self._dequeue(job)
             self._fail(job, None)
-        return self._result()
+        result = self._result()
+        if self._sanitize:
+            self._audit(result)
+        return result
 
     def _next_shared_finish(self) -> Optional[_Running]:
         """The shared job that completes next, or None.
@@ -579,17 +601,19 @@ class BatchDispatcher:
             self._next_stale = False
         return self._next_shared
 
-    def _push(self, when: Fraction, kind: int, job_id: int,
+    def _push(self, when: Exact, kind: int, job_id: int,
               version: int) -> None:
         self._seq += 1
         heapq.heappush(self._events, (when, kind, self._seq, job_id, version))
 
-    def _advance(self, when: Fraction) -> None:
+    def _advance(self, when: Exact) -> None:
         dt = when - self.now
         if dt > 0:
-            self._busy_node_time += self._occupied * dt
+            self._busy_node_time = _exact(self._busy_node_time
+                                          + self._occupied * dt)
             if self._armed and (self.running or self.queue):
-                self._node_lost_time += self._lost_nodes() * dt
+                self._node_lost_time = _exact(self._node_lost_time
+                                              + self._lost_nodes() * dt)
             self.now = when
 
     def _lost_nodes(self) -> int:
@@ -598,12 +622,14 @@ class BatchDispatcher:
         return sum(1 for n in range(self.pool_nodes)
                    if self._node_state[n] != _UP and not self._on_node[n])
 
-    def _remaining(self, rj: _Running) -> Fraction:
+    def _remaining(self, rj: _Running) -> Exact:
         """Work a shared job still owes at ``now``, settled from its
-        predicted finish.  Exact arithmetic never takes it negative; clamp
-        anyway so a future inexact runtime model degrades gracefully."""
-        left = (rj.finish_at - self.now) / rj.load
-        return left if left > 0 else Fraction(0)
+        predicted finish — the one place sharing divides, hence the one
+        place a Fraction is born.  Exact arithmetic never takes it
+        negative; clamp anyway so a future inexact runtime model degrades
+        gracefully."""
+        left = Fraction(rj.finish_at - self.now, rj.load)
+        return left if left > 0 else 0
 
     def _reprice(self, nodes) -> None:
         """Re-time the shared jobs resident on *nodes*, whose membership
@@ -619,7 +645,8 @@ class BatchDispatcher:
                 seen.add(jid)
                 load = max(len(on_node[m]) for m in rj.nodes)
                 if load != rj.load:
-                    rj.finish_at = self.now + self._remaining(rj) * load
+                    rj.finish_at = _exact(self.now
+                                          + self._remaining(rj) * load)
                     rj.load = load
                     if load > rj.shared_peak:
                         rj.shared_peak = load
@@ -627,13 +654,43 @@ class BatchDispatcher:
 
     # -- sanitizer ---------------------------------------------------------
 
-    def _audit(self) -> None:
-        """Check every index against the ground truth it summarizes
-        (``REPRO_SANITIZE=1``); raise :class:`InvariantViolation` on the
-        first disagreement."""
+    def _audit(self, result: Optional[BatchResult] = None) -> None:
+        """Check every index against the ground truth it summarizes, and
+        every stored clock for canonical form (``REPRO_SANITIZE=1``); given
+        the finished *result* of a rigid policy, also check node
+        conservation.  Raise :class:`InvariantViolation` on the first
+        disagreement."""
 
         def fail(rule: str, detail: str) -> None:
             raise InvariantViolation(rule, detail, time=self.now)
+
+        running = self.running.values()
+        for what, values in (
+            ("now", (self.now,)),
+            ("busy/lost node time",
+             (self._busy_node_time, self._node_lost_time)),
+            ("running finish_at", (rj.finish_at for rj in running)),
+            ("running demand", (rj.demand for rj in running)),
+            ("event heap", (entry[0] for entry in self._events)),
+            ("completed work", self._completed.values()),
+            ("held wall time", self._wall.values()),
+            ("held node time", self._held.values()),
+        ):
+            for value in values:
+                if not (type(value) is int or (type(value) is Fraction
+                                               and value.denominator != 1)):
+                    fail("batch-canonical-clock",
+                         f"{what} holds {value!r}: an integral clock must "
+                         f"be an int, any other a Fraction")
+        if result is not None and self.policy.rigid:
+            # Rigid jobs own their nodes outright, so the pool's busy
+            # node time is exactly the sum of what the jobs held.  (Not so
+            # under sharing: co-residents each count a shared node.)
+            held = math.fsum(o.held_node_us for o in result.jobs)
+            if held != result.busy_node_us:
+                fail("batch-node-conservation",
+                     f"busy node-us {result.busy_node_us} != {held} "
+                     f"summed over the jobs' held node-us")
 
         for n in range(self.pool_nodes):
             truth = {jid for jid, rj in self.running.items() if n in rj.nodes}
@@ -732,18 +789,18 @@ class BatchDispatcher:
                 executed = rj.demand
         else:
             executed = rj.demand - self._remaining(rj)
-        overhead = rj.demand - (Fraction(rj.base_runtime)
-                                - self._completed.get(jid, Fraction(0)))
+        completed = self._completed.get(jid, 0)
+        overhead = rj.demand - (rj.base_runtime - completed)
         useful = executed - overhead
         if useful < 0:
-            useful = Fraction(0)
-        done = self._completed.get(jid, Fraction(0)) + useful
-        base = Fraction(rj.base_runtime)
-        self._completed[jid] = done if done < base else base
+            useful = 0
+        done = completed + useful
+        self._completed[jid] = (_exact(done) if done < rj.base_runtime
+                                else rj.base_runtime)
         wall = self.now - rj.start
-        self._wall[jid] = self._wall.get(jid, Fraction(0)) + wall
-        self._held[jid] = (self._held.get(jid, Fraction(0))
-                           + wall * len(rj.nodes))
+        self._wall[jid] = _exact(self._wall.get(jid, 0) + wall)
+        self._held[jid] = _exact(self._held.get(jid, 0)
+                                 + wall * len(rj.nodes))
         self._peak[jid] = max(self._peak.get(jid, 1), rj.shared_peak)
         self._release(rj)
         self._promises.pop(jid, None)
@@ -775,7 +832,7 @@ class BatchDispatcher:
         jid = job.job_id
         first = self._first_start.get(jid)
         start = first if first is not None else self.now
-        wall = self._wall.get(jid, Fraction(0))
+        wall = self._wall.get(jid, 0)
         base = rj.base_runtime if rj is not None else 0
         isolated = min(base, job.estimate) if base else job.estimate
         response = self.now - job.submit
@@ -801,7 +858,7 @@ class BatchDispatcher:
                             rj.shared_peak if rj is not None else 1),
             requeues=self._requeue_count.get(jid, 0),
             failed=True,
-            held_node_us=float(self._held.get(jid, Fraction(0))),
+            held_node_us=float(self._held.get(jid, 0)),
         )
 
     # -- completion --------------------------------------------------------
@@ -818,9 +875,8 @@ class BatchDispatcher:
         start = self._first_start.get(jid, rj.start)
         finish = self.now
         wait = start - job.submit
-        runtime = (self._wall.get(jid, Fraction(0))
-                   + (finish - rj.start))
-        held = (self._held.get(jid, Fraction(0))
+        runtime = self._wall.get(jid, 0) + (finish - rj.start)
+        held = (self._held.get(jid, 0)
                 + (finish - rj.start) * len(rj.nodes))
         response = finish - job.submit
         # Bounded slowdown divides by the *isolated* demand, not the held

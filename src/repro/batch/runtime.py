@@ -18,13 +18,17 @@ holds its nodes is the node-level scheduler's business.  Two models:
     factor drawn from the job's own seed.  Orders of magnitude faster,
     same determinism contract.
 
-Both are pure functions of ``(job shape, regime)``; the sim model memoizes
-on :meth:`BatchJob.shape_fingerprint` because two equal shapes simulate the
-same microseconds.  Two tiers: an in-process LRU, and — when a campaign
-passes a *pricing store* (the ``pricing/`` directory of its result-cache
-root) — one plain-text integer per shape on disk, keyed by the shape digest
-and :func:`~repro.parallel.jobspec.model_epoch`, so every campaign and every
-pool worker sharing the cache simulates each shape once per model source.
+Both are pure functions of ``(job shape, regime)``, so both share one
+in-process price memo and a job is priced once per process however many
+policies schedule it or times it restarts.  The sim model keys it on
+:meth:`BatchJob.shape_fingerprint` because two equal shapes simulate the
+same microseconds; the analytic model on what its draw reads,
+``("analytic", seed, ideal_us, regime)``.  The sim model has a second tier:
+when a campaign passes a *pricing store* (the ``pricing/`` directory of its
+result-cache root), one plain-text integer per shape on disk, keyed by the
+shape digest and :func:`~repro.parallel.jobspec.model_epoch`, so every
+campaign and every pool worker sharing the cache simulates each shape once
+per model source.
 """
 
 from __future__ import annotations
@@ -51,20 +55,38 @@ _ANALYTIC_OVERHEAD: Dict[str, tuple] = {
     "rt": (0.30, 0.08),
 }
 
-#: Process-wide memo of sim-model runtimes, keyed by shape digest.  Values
-#: are pure functions of the key, so sharing the memo across repetitions
-#: (and across policies scheduling the same trace) never changes a result —
-#: it only skips identical simulations.  Bounded LRU: dict insertion order
-#: doubles as recency (hits re-insert their key), and crossing the cap
-#: evicts oldest-first, so a long campaign that overflows the cap keeps
-#: its hot working set instead of re-simulating everything.
-_SIM_MEMO: Dict[str, int] = {}
-_SIM_MEMO_CAP = 4096
+#: Process-wide memo of job prices under both models: sim prices keyed by
+#: shape digest (a hex string), analytic prices by a tuple led by
+#: ``"analytic"``, so the two never collide.  Values are pure functions of
+#: the key, so sharing the memo across repetitions (and across policies
+#: scheduling the same trace) never changes a result — it only skips
+#: identical pricing.  Bounded LRU: dict insertion order doubles as recency
+#: (hits re-insert their key), and crossing the cap evicts oldest-first, so
+#: a long campaign that overflows the cap keeps its hot working set instead
+#: of re-pricing everything.
+_PRICE_MEMO: Dict[object, int] = {}
+_PRICE_MEMO_CAP = 4096
 
 
 def clear_runtime_memo() -> None:
-    """Drop the in-process sim-runtime memo (tests; bounded anyway)."""
-    _SIM_MEMO.clear()
+    """Drop the in-process price memo (tests; bounded anyway)."""
+    _PRICE_MEMO.clear()
+
+
+def _memo_get(key) -> Optional[int]:
+    """The memoized price for *key* (refreshing its recency), or None."""
+    hit = _PRICE_MEMO.pop(key, None)
+    if hit is not None:
+        _PRICE_MEMO[key] = hit
+    return hit
+
+
+def _memo_put(key, runtime: int) -> int:
+    """Memoize *runtime* under *key*, evicting oldest-first at the cap."""
+    while len(_PRICE_MEMO) >= _PRICE_MEMO_CAP:
+        _PRICE_MEMO.pop(next(iter(_PRICE_MEMO)))
+    _PRICE_MEMO[key] = runtime
+    return runtime
 
 
 def _price_path(pricing_store: str, key: str) -> Path:
@@ -90,9 +112,8 @@ def _sim_runtime(job: BatchJob, regime: str, internode_latency: int,
     from repro.parallel.jobspec import stable_digest
 
     key = stable_digest(job.shape_fingerprint(regime, internode_latency))
-    hit = _SIM_MEMO.pop(key, None)
+    hit = _memo_get(key)
     if hit is not None:
-        _SIM_MEMO[key] = hit  # refresh recency
         return hit
     path = runtime = None
     if pricing_store is not None:
@@ -114,13 +135,14 @@ def _sim_runtime(job: BatchJob, regime: str, internode_latency: int,
             from repro.parallel.cache import atomic_write
 
             atomic_write(path, f"{runtime}\n".encode("ascii"))
-    while len(_SIM_MEMO) >= _SIM_MEMO_CAP:
-        _SIM_MEMO.pop(next(iter(_SIM_MEMO)))
-    _SIM_MEMO[key] = runtime
-    return runtime
+    return _memo_put(key, runtime)
 
 
 def _analytic_runtime(job: BatchJob, regime: str) -> int:
+    key = ("analytic", job.seed, job.ideal_us, regime)
+    hit = _memo_get(key)
+    if hit is not None:
+        return hit
     try:
         mean_overhead, sigma = _ANALYTIC_OVERHEAD[regime]
     except KeyError:
@@ -130,7 +152,7 @@ def _analytic_runtime(job: BatchJob, regime: str) -> int:
     rng = RngStreams(job.seed)
     z = float(rng.stream("batch.runtime").standard_normal())
     overhead = mean_overhead * math.exp(sigma * z)
-    return max(1, int(job.ideal_us * (1.0 + overhead)))
+    return _memo_put(key, max(1, int(job.ideal_us * (1.0 + overhead))))
 
 
 def base_runtime_us(

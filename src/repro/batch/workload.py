@@ -181,10 +181,18 @@ class BatchJob:
         }
 
     def digest(self) -> str:
-        """Stable 16-hex content key for this job (shape + trace position)."""
+        """Stable 16-hex content key for this job (shape + trace position).
+
+        Computed once per instance and kept in the instance ``__dict__``
+        under ``_digest``, outside the dataclass fields, so ``==``,
+        ``hash``, :func:`dataclasses.asdict` and the spec digests built on
+        it never see it."""
+        cached = self.__dict__.get("_digest")
+        if cached is not None:
+            return cached
         from repro.parallel.jobspec import stable_digest
 
-        return stable_digest(
+        cached = self.__dict__["_digest"] = stable_digest(
             {
                 "job_id": self.job_id,
                 "submit": self.submit,
@@ -198,6 +206,7 @@ class BatchJob:
             },
             length=16,
         )
+        return cached
 
 
 def generate_trace(config: WorkloadConfig, seed: int) -> Tuple[BatchJob, ...]:

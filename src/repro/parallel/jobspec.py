@@ -61,13 +61,21 @@ MODEL_PACKAGES = (
 MODEL_FILES = ("experiments/runner.py", "units.py")
 
 
+#: Types :func:`_jsonable` returns unchanged (exact types: a subclass such
+#: as an enum member takes the general path).
+_PLAIN_SCALARS = frozenset({str, int, float, bool})
+
+
 def _jsonable(value):
     """Recursively normalize *value* into deterministic JSON-ready data.
 
     Sets are sorted (their iteration order is not a contract), tuples become
     lists, dataclasses become dicts — so the digest never depends on hash
-    randomization or insertion order.
+    randomization or insertion order.  Exact plain scalars, the bulk of
+    any payload, return first: they are never dataclasses or containers.
     """
+    if type(value) in _PLAIN_SCALARS or value is None:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
     if isinstance(value, dict):
@@ -76,7 +84,7 @@ def _jsonable(value):
         return sorted(_jsonable(v) for v in value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, (str, int, float, bool)):
         return value
     return str(value)
 

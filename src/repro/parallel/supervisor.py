@@ -55,6 +55,7 @@ import errno
 import json
 import os
 import signal
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -529,6 +530,29 @@ _CHUNK_FACTOR = 4
 #: workers stuck outside the interpreter.
 _KILL_GRACE = 2.0
 
+#: Seconds between a pool worker's checks that its campaign process lives.
+_ORPHAN_POLL_S = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: start a daemon thread that ends the worker
+    once *parent*, the campaign process, is gone (the worker is reparented).
+
+    A SIGKILL'd campaign cannot shut its pool down, and the workers never
+    see end-of-file on the call queue: each one holds the queue's write end
+    itself.  Without this they would sleep on it forever."""
+
+    def watch() -> None:
+        if hasattr(signal, "pthread_sigmask"):
+            # Leave every signal to the main thread: the per-run SIGALRM
+            # timeout must interrupt the run, never land here.
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        while os.getppid() == parent:
+            time.sleep(_ORPHAN_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
+
 
 @dataclass
 class _PendingRun:
@@ -775,7 +799,9 @@ class _Supervisor:
                         _InlineExecutor()
                         if inline
                         else ProcessPoolExecutor(
-                            max_workers=min(jobs, len(queue) + len(still))
+                            max_workers=min(jobs, len(queue) + len(still)),
+                            initializer=_exit_with_parent,
+                            initargs=(os.getpid(),),
                         )
                     )
 

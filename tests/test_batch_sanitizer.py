@@ -4,12 +4,17 @@ With the sanitizer on, the dispatcher checks after every event that the
 indexes it schedules from agree with the ground truth they summarize: the
 node -> resident map with ``running``, the sorted free list with the
 unheld up-nodes, the release index with the running rigid jobs, and the
-rank index (and the queue's enqueue serials) with the queue.  A clean run
-must be bit-identical to an unsanitized one; a corrupted index must fail
+rank index (and the queue's enqueue serials) with the queue.  It also
+checks that every stored clock is canonical (an ``int``, or a Fraction
+that is not integral), and at the end of a rigid schedule that the pool's
+busy node time equals the node time the jobs held.  A clean run must be
+bit-identical to an unsanitized one; a corrupted index or clock must fail
 loudly with :class:`~repro.kernel.invariants.InvariantViolation`.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -84,12 +89,29 @@ def _drop_release(disp):
     disp.releases.pop()
 
 
+def _integral_fraction_now(disp):
+    disp.now = Fraction(disp.now)
+
+
+def _integral_fraction_demand(disp):
+    rj = next(iter(disp.running.values()))
+    rj.demand = Fraction(rj.demand)  # unarmed, every demand is a whole base
+
+
+def _lose_busy_time(disp):
+    disp._busy_node_time -= 1
+
+
 @pytest.mark.parametrize("policy,damage,rule", [
     ("fcfs", _forget_resident, "batch-node-residents"),
     ("share", _forget_resident, "batch-node-residents"),
     ("easy", _leak_free_node, "batch-free-list"),
     ("easy", _drop_release, "batch-releases"),
     ("priority", _drop_ranked, "batch-rank-index"),
+    ("fcfs", _integral_fraction_now, "batch-canonical-clock"),
+    ("share", _integral_fraction_demand, "batch-canonical-clock"),
+    ("easy", _lose_busy_time, "batch-node-conservation"),
+    ("priority", _lose_busy_time, "batch-node-conservation"),
 ])
 def test_corrupted_index_is_caught(policy, damage, rule, monkeypatch):
     monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
@@ -99,3 +121,12 @@ def test_corrupted_index_is_caught(policy, damage, rule, monkeypatch):
         disp.dispatch()
     assert err.value.rule == rule
 
+
+
+def test_conservation_is_not_claimed_under_sharing(monkeypatch):
+    # Co-residents each count a shared node, so Σ held exceeds busy time
+    # under share; the sanitizer must not hold share to the rigid law.
+    monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
+    result = simulate_batch(_trace(), 8, "share", runtime_model="analytic")
+    assert result.colocations > 0
+    assert sum(o.held_node_us for o in result.jobs) > result.busy_node_us

@@ -95,3 +95,58 @@ def test_batch_job_validation():
     with pytest.raises(ValueError):
         BatchJob(job_id=0, submit=-1, n_nodes=1, nprocs_per_node=4,
                  n_iters=3, estimate=10, seed=1)
+
+
+# -- the digest memo -------------------------------------------------------
+
+
+def _trace_job(k=0):
+    return generate_trace(WorkloadConfig(n_jobs=4), 9)[k]
+
+
+def test_memoized_digest_equals_the_payload_digest(monkeypatch):
+    import dataclasses
+
+    import repro.parallel.jobspec as jobspec
+
+    job = _trace_job(2)
+    # The payload is every field of the job, so the uncached digest is
+    # the digest of asdict(job).
+    expected = jobspec.stable_digest(dataclasses.asdict(job), length=16)
+    assert job.digest() == expected
+    assert job.__dict__["_digest"] == expected
+
+    def no_digest(*args, **kwargs):
+        raise AssertionError("a digested job was digested again")
+
+    monkeypatch.setattr(jobspec, "stable_digest", no_digest)
+    assert job.digest() == expected
+
+
+def test_digest_memo_leaves_equality_and_hash_alone():
+    import dataclasses
+    import pickle
+
+    a, b = _trace_job(1), _trace_job(1)
+    a.digest()
+    assert "_digest" in a.__dict__ and "_digest" not in b.__dict__
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    assert "_digest" not in dataclasses.asdict(a)
+    assert pickle.loads(pickle.dumps(a)) == b
+
+
+def test_digest_memo_leaves_content_digests_alone():
+    from repro.batch import simulate_batch
+    from repro.parallel.jobspec import BatchRunSpec, stable_digest
+
+    config = WorkloadConfig(n_jobs=6)
+    spec = BatchRunSpec(run_index=0, seed=4, policy="easy", pool_nodes=4,
+                        regime="stock", workload=config,
+                        runtime_model="analytic")
+    trace = generate_trace(config, 4)
+    before = spec.digest(), [stable_digest(job) for job in trace]
+    simulate_batch(trace, 4, "easy", runtime_model="analytic")
+    assert all("_digest" in job.__dict__ for job in trace)
+    assert (spec.digest(), [stable_digest(job) for job in trace]) == before

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +107,13 @@ def _hang_hard_once(flag_dir: str, spec):
             pass
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
         time.sleep(30)
+    return spec.seed, None
+
+
+def _stamp_pid_and_sleep(flag_dir: str, spec):
+    """Mark this worker's pid with a flag file, then outsleep the test."""
+    open(os.path.join(flag_dir, f"worker-{os.getpid()}"), "w").close()
+    time.sleep(60)
     return spec.seed, None
 
 
@@ -236,3 +246,59 @@ def test_repeated_death_shrinks_pool_then_salvages(tmp_path):
     assert result.pool_shrinks >= 1
     for hole in result.holes:
         assert all(a.classification == "transient" for a in hole.attempts)
+
+
+#: A two-worker campaign whose runs record their worker's pid and sleep.
+_SLEEPING_CAMPAIGN = """
+import sys
+from functools import partial
+from repro.parallel import supervise_campaign
+from tests.test_supervisor_pool import _specs, _stamp_pid_and_sleep
+supervise_campaign(_specs(4), partial(_stamp_pid_and_sleep, sys.argv[1]),
+                   n_jobs=2)
+"""
+
+
+def _exited(pid: int) -> bool:
+    """True once *pid* has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigkilled_campaign_leaves_no_pool_worker(tmp_path):
+    # A SIGKILL'd campaign cannot shut its pool down; each worker must
+    # notice it was orphaned and exit by itself within a few seconds.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_CAMPAIGN, str(tmp_path)],
+        cwd=root, env=env,
+    )
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while (len(pids) < 2 and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+            pids = [int(p.name.split("-")[1])
+                    for p in tmp_path.glob("worker-*")]
+        assert len(pids) == 2, f"expected two busy workers, saw {pids}"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while (not all(_exited(pid) for pid in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        assert [pid for pid in pids if not _exited(pid)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in pids:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
