@@ -9,33 +9,38 @@ a time.
 """
 
 from benchmarks.conftest import save_artifact
-from repro.experiments.runner import run_nas_observed
-from repro.obs import render_latency_table
+from repro.experiments.runner import run_nas_job
+from repro.obs import observe, render_latency_table
 
 
 def test_latency_stock_vs_hpl(benchmark, bench_seed, artifact_dir):
     def run_both():
         return (
-            run_nas_observed("ep", "A", "stock", seed=bench_seed),
-            run_nas_observed("ep", "A", "hpl", seed=bench_seed),
+            run_nas_job("ep", "A", "stock", seed=bench_seed, instrument=observe),
+            run_nas_job("ep", "A", "hpl", seed=bench_seed, instrument=observe),
         )
 
     stock, hpl = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
     sections = []
-    for label, run in (("stock Linux", stock), ("HPL", hpl)):
+    for label, job in (("stock Linux", stock), ("HPL", hpl)):
+        observer = job.kernel.observer
         sections.append(f"ep.A.8 under {label} (seed {bench_seed}):")
         sections.append(
             render_latency_table(
-                run.observer.latency, pids=run.rank_pids, names=run.names
+                observer.latency,
+                pids=[t.pid for t in job.app.rank_tasks()],
+                names=observer.names(),
             )
         )
     save_artifact(artifact_dir, "latency.txt", "\n".join(sections))
 
-    stock_max = stock.observer.latency.max_delay(stock.rank_pids)
-    hpl_max = hpl.observer.latency.max_delay(hpl.rank_pids)
+    stock_ranks = [t.pid for t in stock.app.rank_tasks()]
+    hpl_ranks = [t.pid for t in hpl.app.rank_tasks()]
+    stock_max = stock.kernel.observer.latency.max_delay(stock_ranks)
+    hpl_max = hpl.kernel.observer.latency.max_delay(hpl_ranks)
     assert stock_max >= 10 * max(hpl_max, 1), (stock_max, hpl_max)
 
-    hpl_summary = hpl.observer.latency.summary(hpl.rank_pids)
+    hpl_summary = hpl.kernel.observer.latency.summary(hpl_ranks)
     assert hpl_summary.n_preemptions == 0
     assert hpl_summary.max_preempt_wait == 0

@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro.analysis.stats import summarize
@@ -595,33 +596,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stat(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_nas_observed
-    from repro.obs import render_stat
+    from repro.experiments.runner import run_nas_job
+    from repro.obs import observe, render_stat
 
     profilers: list = []
-    observed_kwargs = {}
-    if args.sim_profile:
-        from repro.obs.metrics import SimProfiler
 
-        def attach_profiler(kernel) -> None:
+    def instrument(kernel) -> None:
+        observe(kernel, with_trace=False)
+        if args.sim_profile:
+            from repro.obs.metrics import SimProfiler
+
             profilers.append(SimProfiler(kernel.sim))
 
-        observed_kwargs["instrument"] = attach_profiler
-    run = run_nas_observed(
-        args.bench, args.klass, args.regime, seed=args.seed, with_trace=False,
-        **observed_kwargs,
+    job = run_nas_job(
+        args.bench, args.klass, args.regime, seed=args.seed, instrument=instrument,
     )
-    if args.ranks_only and run.kernel.perf.task_counters is not None:
-        wanted = set(run.rank_pids)
-        for pid in list(run.kernel.perf.task_counters):
+    perf = job.kernel.perf
+    if args.ranks_only and perf.task_counters is not None:
+        wanted = {t.pid for t in job.app.rank_tasks()}
+        for pid in list(perf.task_counters):
             if pid not in wanted:
-                del run.kernel.perf.task_counters[pid]
+                del perf.task_counters[pid]
     print(
         render_stat(
-            run.kernel.perf,
-            wall_time_us=run.result.wall_time,
-            app_time_s=run.result.app_time_s,
-            title=f"{run.result.program_name} under {args.regime} (seed {args.seed})",
+            perf,
+            wall_time_us=job.result.wall_time,
+            app_time_s=job.result.app_time_s,
+            title=f"{job.result.program_name} under {args.regime} (seed {args.seed})",
         ),
         end="",
     )
@@ -635,25 +636,26 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 
 
 def _cmd_latency(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_nas_observed
-    from repro.obs import render_latency_table
+    from repro.experiments.runner import run_nas_job
+    from repro.obs import observe, render_latency_table
 
-    run = run_nas_observed(
+    job = run_nas_job(
         args.bench, args.klass, args.regime, seed=args.seed,
-        with_trace=False, with_counters=False,
+        instrument=partial(observe, with_trace=False, with_counters=False),
     )
-    pids = None if args.all_tasks else run.rank_pids
+    observer = job.kernel.observer
+    pids = None if args.all_tasks else [t.pid for t in job.app.rank_tasks()]
     print(
-        f"{run.result.program_name} under {args.regime} (seed {args.seed}) — "
+        f"{job.result.program_name} under {args.regime} (seed {args.seed}) — "
         f"scheduling latencies"
         + ("" if args.all_tasks else " of the application ranks")
         + ":"
     )
     print(
         render_latency_table(
-            run.observer.latency,
+            observer.latency,
             pids=pids,
-            names=run.names,
+            names=observer.names(),
             with_histogram=args.histogram,
         ),
         end="",
@@ -662,31 +664,32 @@ def _cmd_latency(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_nas_observed
-    from repro.obs import trace_to_chrome, trace_to_ftrace
+    from repro.experiments.runner import run_nas_job
+    from repro.obs import observe, trace_to_chrome, trace_to_ftrace
 
     reason = _unwritable(args.output)
     if reason is not None:
         print(f"error: cannot write -o {args.output}: {reason}", file=sys.stderr)
         return 2
-    run = run_nas_observed(
+    job = run_nas_job(
         args.bench, args.klass, args.regime, seed=args.seed,
-        with_latency=False, with_counters=False,
+        instrument=partial(observe, with_latency=False, with_counters=False),
     )
-    trace = run.observer.trace
+    observer = job.kernel.observer
+    trace = observer.trace
     if args.fmt == "chrome":
         import json
 
         payload = json.dumps(
             trace_to_chrome(
                 trace,
-                names=run.names,
-                idle_pids=run.observer.idle_pids(),
-                end_time=run.kernel.sim.now,
+                names=observer.names(),
+                idle_pids=observer.idle_pids(),
+                end_time=job.kernel.sim.now,
             )
         )
     else:
-        payload = trace_to_ftrace(trace, names=run.names)
+        payload = trace_to_ftrace(trace, names=observer.names())
     if args.output == "-":
         print(payload)
     else:
@@ -1028,12 +1031,12 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             if args.telemetry is not None:
                 print("note: --telemetry records campaign execution; "
                       "ignored with -n 1", file=sys.stderr)
-            run = runner.run_nas_faulted(
+            job = runner.run_nas_job(
                 args.bench, args.klass, args.regime, seed=args.seed,
                 fault_plan=plan, fault_tolerance=tolerance,
                 with_watchdog=args.watchdog,
             )
-            result = run.result
+            result = job.result
             stats = result.app_stats
             print(f"{result.program_name} under {args.regime} "
                   f"(seed {args.seed}), {planned}:")
@@ -1049,14 +1052,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 print(f"  lost work       : {stats.lost_work_us} us")
                 print(f"  recovery time   : {stats.recovery_time_us} us")
             print("  fault log:")
-            if not run.applied:
+            injector = job.kernel.fault_injector
+            applied = injector.applied if injector is not None else []
+            if not applied:
                 print("    (no faults fired before completion)")
-            for applied in run.applied:
-                print(f"    t={applied.time:>10} {applied.event.kind:<12} "
-                      f"{applied.note}")
+            for entry in applied:
+                print(f"    t={entry.time:>10} {entry.event.kind:<12} "
+                      f"{entry.note}")
             if args.watchdog:
-                print(f"  watchdog: {len(run.incidents)} starvation incident(s)")
-                for inc in run.incidents[:10]:
+                incidents = job.kernel.watchdog.incidents
+                print(f"  watchdog: {len(incidents)} starvation incident(s)")
+                for inc in incidents[:10]:
                     print(f"    t={inc.time:>10} cpu{inc.cpu} pid {inc.pid} "
                           f"({inc.name}) waited {inc.waited_us} us")
 

@@ -147,7 +147,8 @@ class ClusterJob:
     Pass ``machine_factories`` (one per node) for a heterogeneous cluster —
     e.g. one half-speed node to study stragglers: with global collectives,
     the whole job runs at the slowest node's pace, which is why the noise
-    the paper fights matters so much more at scale.
+    the paper fights matters so much more at scale.  Nodes without an
+    entry (all of them by default) boot the js22 preset.
 
     With a :class:`~repro.faults.tolerance.ClusterTolerance` the job also
     survives node fail-stops and rank crashes: the coordinator detects the
@@ -166,7 +167,6 @@ class ClusterJob:
         nprocs_per_node: int = 8,
         regime: str = "stock",
         seed: int = 0,
-        machine_factory: Callable[[], Machine] = power6_js22,
         machine_factories: Optional[List[Callable[[], Machine]]] = None,
         noise: Optional[NoiseProfile] = None,
         internode_latency: int = 30,
@@ -257,7 +257,7 @@ class ClusterJob:
             factory = (
                 machine_factories[i]
                 if machine_factories is not None and i < len(machine_factories)
-                else machine_factory
+                else power6_js22
             )
             kernel = Kernel(factory(), config, sim=self.sim)
             daemons = DaemonSet(kernel, profile)
@@ -607,17 +607,17 @@ class ClusterJob:
             return max(finished) - min(started)
         raise AssertionError("completed cluster job has no timing at all")
 
-    def run(self, *, start_at: int = msecs(50), horizon: Optional[int] = None) -> ClusterResult:
-        """Launch every node's ranks and run to completion."""
+    def run(self) -> ClusterResult:
+        """Launch every node's ranks at t=50 ms and run to completion."""
 
         def launch_all() -> None:
             self._ckpt_time = self.sim.now
             for node in sorted(self._active):
                 self.nodes[node].app.launch(**self._launch_kwargs)
 
+        start_at = msecs(50)
         self.sim.at(start_at, launch_all, label="cluster:launch")
-        if horizon is None:
-            horizon = start_at + 400 * self.program.total_compute + secs(900)
+        horizon = start_at + 400 * self.program.total_compute + secs(900)
         self.sim.run_until(horizon)
         unfinished = sorted(self._active - self._terminal_nodes)
         if self.failed is not None or unfinished:
@@ -673,14 +673,11 @@ def run_cluster_job(
     seed: int = 0,
     nprocs_per_node: int = 8,
     noise: Optional[NoiseProfile] = None,
-    machine_factory: Callable[[], Machine] = power6_js22,
     machine_factories: Optional[List[Callable[[], Machine]]] = None,
     internode_latency: int = 30,
     fault_plans: Optional[Dict[int, FaultPlan]] = None,
     tolerance: Optional[ClusterTolerance] = None,
     spare_nodes: int = 0,
-    start_at: int = msecs(50),
-    horizon: Optional[int] = None,
 ) -> ClusterResult:
     """Convenience wrapper: build, run, return the result."""
     job = ClusterJob(
@@ -689,7 +686,6 @@ def run_cluster_job(
         nprocs_per_node=nprocs_per_node,
         regime=regime,
         seed=seed,
-        machine_factory=machine_factory,
         machine_factories=machine_factories,
         noise=noise,
         internode_latency=internode_latency,
@@ -697,4 +693,4 @@ def run_cluster_job(
         tolerance=tolerance,
         spare_nodes=spare_nodes,
     )
-    return job.run(start_at=start_at, horizon=horizon)
+    return job.run()

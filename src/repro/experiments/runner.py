@@ -6,6 +6,13 @@ repetition is an independent simulation (fresh kernel, fresh daemons, fresh
 launcher chain) with its own derived seed; the *workload* random streams are
 named identically across kernel variants, so the stock-vs-HPL comparison
 uses common random numbers.
+
+One execution is :func:`run_job` (:func:`run_nas_job` for a NAS benchmark),
+which returns the finished :class:`~repro.apps.mpiexec.MpiJob`; callers
+read what they need from it — the result, the rank tasks, and whatever was
+attached to its kernel (observer, fault injector, watchdog).
+:func:`run_program` and :func:`run_nas` are the shortcuts for just the
+:class:`~repro.apps.mpiexec.JobResult`.
 """
 
 from __future__ import annotations
@@ -22,12 +29,10 @@ from repro.apps.mpiexec import JobResult, LaunchMode, MpiJob
 from repro.apps.nas import nas_program, nas_spec
 from repro.apps.spmd import Program
 from repro.faults import (
-    AppliedFault,
     ClusterTolerance,
     FaultInjector,
     FaultPlan,
     FaultTolerance,
-    StarvationIncident,
     StarvationWatchdog,
     WatchdogConfig,
 )
@@ -37,14 +42,10 @@ __all__ = [
     "build_kernel",
     "RunIncompleteError",
     "resolve_kernel_config",
+    "run_job",
     "run_program",
+    "run_nas_job",
     "run_nas",
-    "ObservedRun",
-    "run_program_observed",
-    "run_nas_observed",
-    "FaultedRun",
-    "run_program_faulted",
-    "run_nas_faulted",
     "build_campaign_specs",
     "run_campaign",
     "run_nas_campaign",
@@ -101,7 +102,7 @@ class RunIncompleteError(RuntimeError):
     example, pinned ranks parked on a CPU that never comes back)."""
 
 
-def _run_job(
+def run_job(
     program: Program,
     nprocs: int,
     regime: str = "stock",
@@ -112,25 +113,29 @@ def _run_job(
     kernel_config: Optional[KernelConfig] = None,
     cold_speed: Optional[float] = None,
     rewarm_scale: float = 1.0,
-    horizon: Optional[int] = None,
-    instrument: Optional[Callable[[Kernel], None]] = None,
+    instrument: Optional[Callable[[Kernel], object]] = None,
     fault_plan: Optional[FaultPlan] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
     with_watchdog: bool = False,
 ) -> MpiJob:
-    """One full simulated execution; returns the finished :class:`MpiJob`
-    (the kernel stays reachable through ``job.kernel`` for observers).
+    """One full simulated execution of *program* under *regime* (a
+    :data:`KERNEL_VARIANTS` key); returns the finished :class:`MpiJob`.
+
+    Everything the run produced is reachable from the job: ``job.result``,
+    the rank tasks through ``job.app.rank_tasks()``, and the kernel as
+    ``job.kernel``, which holds whatever was attached to it
+    (``kernel.observer``, ``kernel.fault_injector``, ``kernel.watchdog``).
 
     *instrument* runs right after the kernel boots, before any daemon or
-    application task exists — the attachment point for observability.
-    Attaching is strictly passive, so instrumented and bare runs of the
-    same seed are identical.
+    application task exists — the attachment point for observability, e.g.
+    ``instrument=observe`` or ``functools.partial(observe,
+    with_trace=False)``.  Attaching is strictly passive, so instrumented
+    and bare runs of the same seed are identical.
 
     *fault_plan* arms a :class:`~repro.faults.FaultInjector` against the
     booted kernel (empty plans are not armed, keeping fault-free runs
     bit-identical); *fault_tolerance* sets the MPI runtime's reaction to
-    rank death; *with_watchdog* starts the starvation watchdog.  The armed
-    pieces stay reachable as ``job.fault_injector`` / ``job.watchdog``.
+    rank death; *with_watchdog* starts the starvation watchdog.
     """
     if regime not in KERNEL_VARIANTS:
         raise ValueError(
@@ -154,21 +159,14 @@ def _run_job(
         on_complete=lambda result: kernel.sim.stop(),
         fault_tolerance=fault_tolerance,
     )
-    job.fault_injector = None
-    job.watchdog = None
     if fault_plan is not None and not fault_plan.is_empty:
-        injector = FaultInjector(kernel, fault_plan, app=job.app)
-        injector.arm()
-        job.fault_injector = injector
+        FaultInjector(kernel, fault_plan, app=job.app).arm()
     if with_watchdog:
-        watchdog = StarvationWatchdog(kernel, WatchdogConfig())
-        watchdog.start()
-        job.watchdog = watchdog
+        StarvationWatchdog(kernel, WatchdogConfig()).start()
     job.start(at=_JOB_START)
-    if horizon is None:
-        # Generous safety net: storms can stretch a run far past its clean
-        # time, but never this far.
-        horizon = _JOB_START + 200 * program.total_compute + secs(600)
+    # Generous safety net: storms can stretch a run far past its clean
+    # time, but never this far.
+    horizon = _JOB_START + 200 * program.total_compute + secs(600)
     kernel.sim.run_until(horizon)
     if job.result is None:
         raise RunIncompleteError(
@@ -184,29 +182,25 @@ def run_program(
     regime: str = "stock",
     **kwargs,
 ) -> JobResult:
-    """One full simulated execution of *program* under *regime*.
-
-    *regime* is a :data:`KERNEL_VARIANTS` key.  Returns the job's
-    :class:`~repro.apps.mpiexec.JobResult`.  Accepts the same keyword
-    arguments as :func:`_run_job`.
-    """
-    return _run_job(program, nprocs, regime, **kwargs).result
+    """The :class:`~repro.apps.mpiexec.JobResult` of :func:`run_job`."""
+    return run_job(program, nprocs, regime, **kwargs).result
 
 
-def _run_nas_with(
-    run: Callable[..., object],
+def run_nas_job(
     name: str,
     klass: str,
-    regime: str,
-    machine: Optional[Machine],
+    regime: str = "stock",
+    *,
+    machine: Optional[Machine] = None,
     **kwargs,
-):
-    """Call *run* (a ``run_program*`` entry point) on one NAS benchmark,
-    built for *machine* (default js22) with its cold-start calibration."""
+) -> MpiJob:
+    """:func:`run_job` on one NAS benchmark, built for *machine* (default
+    js22) with its cold-start calibration, e.g.
+    ``run_nas_job("ep", "A", "hpl", instrument=observe)``."""
     if machine is None:
         machine = power6_js22()
     spec = nas_spec(name, klass)
-    return run(
+    return run_job(
         nas_program(spec, machine),
         spec.nprocs,
         regime,
@@ -228,159 +222,10 @@ def run_nas(
     kernel_config: Optional[KernelConfig] = None,
 ) -> JobResult:
     """One execution of a NAS benchmark, e.g. ``run_nas("ep", "A", "hpl")``."""
-    return _run_nas_with(
-        run_program, name, klass, regime, machine,
-        seed=seed, noise=noise, kernel_config=kernel_config,
-    )
-
-
-@dataclass
-class ObservedRun:
-    """A finished run plus everything its observer recorded."""
-
-    result: JobResult
-    kernel: Kernel
-    observer: "KernelObserver"
-    #: pids of the application ranks (the paper's subject tasks).
-    rank_pids: List[int]
-    #: pid -> task name, covering every task the kernel ever created.
-    names: Dict[int, str]
-
-
-def run_program_observed(
-    program: Program,
-    nprocs: int,
-    regime: str = "stock",
-    *,
-    capacity: int = 200_000,
-    with_trace: bool = True,
-    with_latency: bool = True,
-    with_counters: bool = True,
-    **kwargs,
-) -> ObservedRun:
-    """Like :func:`run_program`, but with a :class:`KernelObserver`
-    attached for the whole run.  Observation is passive: the returned
-    ``result`` is identical to an unobserved run of the same seed.
-
-    An *instrument* callable in ``kwargs`` is chained after the observer
-    attaches (e.g. a :class:`~repro.obs.metrics.SimProfiler` hooking the
-    event loop), instead of replacing it."""
-    from repro.obs import KernelObserver
-
-    extra_instrument = kwargs.pop("instrument", None)
-    holder: List[KernelObserver] = []
-
-    def instrument(kernel: Kernel) -> None:
-        holder.append(
-            KernelObserver(
-                kernel,
-                capacity=capacity,
-                with_trace=with_trace,
-                with_latency=with_latency,
-                with_counters=with_counters,
-            )
-        )
-        if extra_instrument is not None:
-            extra_instrument(kernel)
-
-    job = _run_job(program, nprocs, regime, instrument=instrument, **kwargs)
-    observer = holder[0]
-    return ObservedRun(
-        result=job.result,
-        kernel=job.kernel,
-        observer=observer,
-        rank_pids=[t.pid for t in job.app.rank_tasks()],
-        names=observer.names(),
-    )
-
-
-def run_nas_observed(
-    name: str,
-    klass: str,
-    regime: str = "stock",
-    *,
-    seed: int = 0,
-    machine: Optional[Machine] = None,
-    noise: Optional[NoiseProfile] = None,
-    kernel_config: Optional[KernelConfig] = None,
-    **observer_kwargs,
-) -> ObservedRun:
-    """Observed variant of :func:`run_nas`."""
-    return _run_nas_with(
-        run_program_observed, name, klass, regime, machine,
-        seed=seed, noise=noise, kernel_config=kernel_config,
-        **observer_kwargs,
-    )
-
-
-@dataclass
-class FaultedRun:
-    """A finished run plus the fault layer's full account of it."""
-
-    result: JobResult
-    kernel: Kernel
-    plan: FaultPlan
-    #: Every fault firing (or skip), in injection order.
-    applied: List[AppliedFault]
-    #: Starvation episodes the watchdog flagged (empty without a watchdog).
-    incidents: List[StarvationIncident]
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(1 for a in self.applied if not a.skipped)
-
-
-def run_program_faulted(
-    program: Program,
-    nprocs: int,
-    regime: str = "stock",
-    *,
-    fault_plan: FaultPlan,
-    fault_tolerance: Optional[FaultTolerance] = None,
-    with_watchdog: bool = False,
-    **kwargs,
-) -> FaultedRun:
-    """Like :func:`run_program`, but under a :class:`FaultPlan`."""
-    job = _run_job(
-        program,
-        nprocs,
-        regime,
-        fault_plan=fault_plan,
-        fault_tolerance=fault_tolerance,
-        with_watchdog=with_watchdog,
-        **kwargs,
-    )
-    injector = job.fault_injector
-    watchdog = job.watchdog
-    return FaultedRun(
-        result=job.result,
-        kernel=job.kernel,
-        plan=fault_plan,
-        applied=list(injector.applied) if injector is not None else [],
-        incidents=list(watchdog.incidents) if watchdog is not None else [],
-    )
-
-
-def run_nas_faulted(
-    name: str,
-    klass: str,
-    regime: str = "stock",
-    *,
-    seed: int = 0,
-    fault_plan: FaultPlan,
-    fault_tolerance: Optional[FaultTolerance] = None,
-    with_watchdog: bool = False,
-    machine: Optional[Machine] = None,
-    noise: Optional[NoiseProfile] = None,
-    kernel_config: Optional[KernelConfig] = None,
-) -> FaultedRun:
-    """Faulted variant of :func:`run_nas`."""
-    return _run_nas_with(
-        run_program_faulted, name, klass, regime, machine,
-        seed=seed, noise=noise, kernel_config=kernel_config,
-        fault_plan=fault_plan, fault_tolerance=fault_tolerance,
-        with_watchdog=with_watchdog,
-    )
+    return run_nas_job(
+        name, klass, regime,
+        seed=seed, machine=machine, noise=noise, kernel_config=kernel_config,
+    ).result
 
 
 @dataclass
@@ -434,7 +279,7 @@ def _execute_spec(spec: "RunSpec") -> Tuple[JobResult, Optional[Dict]]:
     (None on fault-free runs) — the injector itself cannot cross back, so
     its account is flattened here.
     """
-    job = _run_job(
+    job = run_job(
         spec.program,
         spec.nprocs,
         spec.regime,
@@ -451,7 +296,7 @@ def _execute_spec(spec: "RunSpec") -> Tuple[JobResult, Optional[Dict]]:
     faults: Optional[Dict] = None
     plan = spec.fault_plan
     if plan is not None and not plan.is_empty:
-        injector = job.fault_injector
+        injector = job.kernel.fault_injector
         stats = result.app_stats
         faults = {
             "plan_label": plan.label,

@@ -68,6 +68,7 @@ class StarvationWatchdog:
         if self._running:
             raise RuntimeError("watchdog already started")
         self._running = True
+        self.kernel.watchdog = self
         self._arm()
 
     def stop(self) -> None:

@@ -135,8 +135,11 @@ class Kernel:
         #: in park order as CPUs return.
         self._park_waiters: List[Task] = []
         self._offline_count = 0
-        #: The armed FaultInjector, when one is attached (diagnostics).
+        #: What is attached to this kernel, when anything is: the armed
+        #: FaultInjector, the KernelObserver, the started StarvationWatchdog.
         self.fault_injector = None
+        self.observer = None
+        self.watchdog = None
 
         self._next_pid = 1
         self.tasks: Dict[int, Task] = {}

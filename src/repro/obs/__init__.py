@@ -18,8 +18,7 @@ from "how many events" to "where the time went":
   wiring all of the above into a kernel through the first-class hook points
   (no monkey-patching);
 * :mod:`repro.obs.metrics` — the labeled counter/gauge/histogram registry
-  (with no-op null instruments for the disabled path) plus
-  :class:`SimProfiler`, the sim-core self-profiler;
+  plus :class:`SimProfiler`, the sim-core self-profiler;
 * :mod:`repro.obs.telemetry` — streaming JSONL campaign telemetry
   (queue-wait/wall per run, retries, timeouts, pool health, cache traffic)
   and the ``top``-style summary over a feed;
@@ -41,7 +40,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     MetricsRegistry,
-    NULL_REGISTRY,
     SimProfiler,
     render_sim_profile,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "run_record",
     "read_records",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "SimProfiler",
     "render_sim_profile",
     "CampaignTelemetry",

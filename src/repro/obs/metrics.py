@@ -7,12 +7,11 @@ snapshots into JSON/JSONL.
 
 Design constraints, in order:
 
-* **Disabled costs nothing.**  A disabled registry hands out shared no-op
-  singleton instruments (:data:`NULL_COUNTER` & co.); the hot path then
-  executes one no-op method call and allocates *zero* Python objects
-  (guarded by a tracemalloc test, the same technique as the PR-1 observer
-  guard).  Code under instrumentation never branches on "is telemetry on" —
-  it just calls ``counter.inc()``.
+* **Off costs nothing.**  A campaign without telemetry builds no registry
+  at all: the supervisor reports into its local ``_NullTelemetry`` stub and
+  the result cache, given ``metrics=None``, keeps no counters, so the
+  metrics module allocates *zero* Python objects (guarded by a tracemalloc
+  test, the same technique as the observer guard).
 * **Results stay bit-identical.**  Instruments never touch simulation
   randomness or event timing.  Attaching them is strictly passive, so runs
   with metrics enabled produce byte-identical results and provenance; only
@@ -36,10 +35,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
     "SimProfiler",
     "event_type",
     "render_sim_profile",
@@ -158,72 +153,10 @@ class Histogram:
         }
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = ""
-    labels: LabelsKey = ()
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"value": 0}
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = ""
-    labels: LabelsKey = ()
-    value = 0.0
-    high_water = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"value": 0.0, "high_water": 0.0}
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = ""
-    labels: LabelsKey = ()
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"count": 0, "sum": 0.0, "min": None, "max": None,
-                "bounds": [], "buckets": []}
-
-
-#: The no-op singletons.  Identity-comparable: ``c is NULL_COUNTER`` tells a
-#: test the disabled path is wired.
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
-    """A namespace of labeled instruments.
+    """A namespace of labeled instruments."""
 
-    ``enabled=False`` turns the whole registry into a null object: every
-    ``counter``/``gauge``/``histogram`` call returns the shared no-op
-    singleton and ``snapshot()`` is empty.  This is the *one* switch — code
-    holding instruments never needs its own "if telemetry" branches.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelsKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelsKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelsKey], Histogram] = {}
@@ -231,8 +164,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------ instruments
 
     def counter(self, name: str, **labels) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER  # type: ignore[return-value]
         key = (name, _labels_key(labels))
         found = self._counters.get(key)
         if found is None:
@@ -240,8 +171,6 @@ class MetricsRegistry:
         return found
 
     def gauge(self, name: str, **labels) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE  # type: ignore[return-value]
         key = (name, _labels_key(labels))
         found = self._gauges.get(key)
         if found is None:
@@ -255,8 +184,6 @@ class MetricsRegistry:
         bounds: Tuple[float, ...] = DEFAULT_BOUNDS,
         **labels,
     ) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM  # type: ignore[return-value]
         key = (name, _labels_key(labels))
         found = self._histograms.get(key)
         if found is None:
@@ -291,11 +218,6 @@ class MetricsRegistry:
     def write_snapshot(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json(indent=2) + "\n")
-
-
-#: Shared disabled registry: the default wired into production code paths,
-#: so "telemetry off" costs one no-op method call per instrumented site.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 
 # ------------------------------------------------------------- sim profiling

@@ -27,6 +27,9 @@ class KernelObserver:
     * counters    — enables the perf fabric's per-class and per-task
       breakdowns in place (``with_counters``); read them through
       ``kernel.perf.class_snapshot()`` / ``task_snapshot()``.
+
+    The observer registers itself as ``kernel.observer``, so a finished run
+    finds it on its kernel.
     """
 
     def __init__(
@@ -39,6 +42,7 @@ class KernelObserver:
         with_counters: bool = True,
     ) -> None:
         self.kernel = kernel
+        kernel.observer = self
         self.trace: Optional[SchedTrace] = (
             attach_trace(kernel, capacity) if with_trace else None
         )

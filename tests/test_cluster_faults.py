@@ -379,25 +379,25 @@ def test_link_degrade_slows_but_completes():
 def test_single_node_slowdown_without_cluster():
     """NODE_SLOWDOWN also works on a plain single-node faulted run (the
     injector scales its own kernel when no coordinator is attached)."""
-    from repro.experiments.runner import run_program_faulted
+    from repro.experiments.runner import run_job
 
     plan = FaultPlan.schedule(
         [FaultEvent(at=msecs(60), kind=FaultKind.NODE_SLOWDOWN,
                     factor=0.5, duration=msecs(40))],
         label="solo-straggle",
     )
-    bare = run_program_faulted(_program(), 8, "stock",
-                               fault_plan=FaultPlan.schedule(
-                                   [FaultEvent(at=1, kind=FaultKind.NOISE_BURST,
-                                               count=1, work=1)],
-                                   label="tick"))
-    slow = run_program_faulted(_program(), 8, "stock", fault_plan=plan)
-    assert slow.faults_injected == 1
+    bare = run_job(_program(), 8, "stock",
+                   fault_plan=FaultPlan.schedule(
+                       [FaultEvent(at=1, kind=FaultKind.NOISE_BURST,
+                                   count=1, work=1)],
+                       label="tick"))
+    slow = run_job(_program(), 8, "stock", fault_plan=plan)
+    assert slow.kernel.fault_injector.faults_injected() == 1
     assert slow.result.app_time > bare.result.app_time
 
 
 def test_cluster_kinds_skip_gracefully_without_cluster():
-    from repro.experiments.runner import run_program_faulted
+    from repro.experiments.runner import run_job
 
     plan = FaultPlan.schedule(
         [
@@ -409,11 +409,11 @@ def test_cluster_kinds_skip_gracefully_without_cluster():
         ],
         label="orphan",
     )
-    run = run_program_faulted(_program(), 8, "stock", fault_plan=plan)
+    injector = run_job(_program(), 8, "stock", fault_plan=plan).kernel.fault_injector
     # No coordinator: the crash and link kinds skip, and the slowdown
     # addressed to node 3 (not this node) skips too.
-    assert run.faults_injected == 0
-    assert all(a.note.startswith("skipped") for a in run.applied)
+    assert injector.faults_injected() == 0
+    assert all(a.note.startswith("skipped") for a in injector.applied)
 
 
 # ---------------------------------------------------------- heterogeneity

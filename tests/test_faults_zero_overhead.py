@@ -6,14 +6,10 @@ bit-identical to a run with no fault machinery at all.
 """
 
 from repro.apps.spmd import Program
-from repro.experiments.runner import (
-    run_nas,
-    run_nas_faulted,
-    run_program,
-    run_program_faulted,
-)
+from repro.experiments.runner import run_job, run_nas, run_nas_job, run_program
 from repro.faults import FaultPlan
 from repro.kernel.kernel import Kernel, KernelConfig
+from repro.obs import observe
 from repro.topology.presets import power6_js22
 
 
@@ -31,11 +27,28 @@ def _result_tuple(res):
 def test_empty_plan_is_bit_identical_nas():
     for regime in ("stock", "hpl"):
         base = run_nas("is", "A", regime, seed=3)
-        faulted = run_nas_faulted("is", "A", regime, seed=3,
-                                  fault_plan=FaultPlan.none())
+        faulted = run_nas_job("is", "A", regime, seed=3,
+                              fault_plan=FaultPlan.none())
         assert _result_tuple(faulted.result) == _result_tuple(base)
-        assert faulted.applied == []
-        assert faulted.faults_injected == 0
+        # An empty plan is never armed: no injector, nothing applied.
+        assert faulted.kernel.fault_injector is None
+
+
+def test_bare_observed_and_watched_runs_are_one_result():
+    """The same seed gives the same JobResult bare, observed, and under an
+    empty plan with the starvation watchdog; ``run_nas`` is its result."""
+    for regime in ("stock", "hpl"):
+        bare = run_nas_job("is", "A", regime, seed=3)
+        observed = run_nas_job("is", "A", regime, seed=3, instrument=observe)
+        watched = run_nas_job("is", "A", regime, seed=3,
+                              fault_plan=FaultPlan.none(), with_watchdog=True)
+        assert observed.result == bare.result
+        assert watched.result == bare.result
+        assert run_nas("is", "A", regime, seed=3) == bare.result
+        assert bare.kernel.observer is None and bare.kernel.watchdog is None
+        assert observed.kernel.observer is not None
+        assert watched.kernel.watchdog is not None
+        assert watched.kernel.fault_injector is None
 
 
 def test_empty_plan_is_bit_identical_program():
@@ -43,8 +56,7 @@ def test_empty_plan_is_bit_identical_program():
         name="mini", n_iters=5, iter_work=30_000, sync_latency=50
     )
     base = run_program(program, 4, "stock", seed=9)
-    faulted = run_program_faulted(program, 4, "stock", seed=9,
-                                  fault_plan=FaultPlan.none())
+    faulted = run_job(program, 4, "stock", seed=9, fault_plan=FaultPlan.none())
     assert _result_tuple(faulted.result) == _result_tuple(base)
 
 
@@ -52,11 +64,10 @@ def test_none_plan_equals_missing_plan():
     program = Program.iterative(
         name="mini", n_iters=5, iter_work=30_000, sync_latency=50
     )
-    a = run_program_faulted(program, 4, "hpl", seed=2, fault_plan=None)
-    b = run_program_faulted(program, 4, "hpl", seed=2,
-                            fault_plan=FaultPlan.none())
+    a = run_job(program, 4, "hpl", seed=2, fault_plan=None)
+    b = run_job(program, 4, "hpl", seed=2, fault_plan=FaultPlan.none())
     assert _result_tuple(a.result) == _result_tuple(b.result)
-    assert a.plan is None and b.plan.is_empty
+    assert a.kernel.fault_injector is None and b.kernel.fault_injector is None
 
 
 def test_kernel_without_faults_has_no_hotplug_state_cost():

@@ -4,7 +4,8 @@ Each case runs ``hpl-repro`` in-process through :func:`repro.cli.main` and
 compares its exit code, stdout and stderr against a transcript committed in
 ``tests/golden/cli/``.  The cases cover both arms of ``faults`` (node and
 ``--cluster``, single run and ``-n > 1``), its exit-1 and exit-2 paths, the
-batch fault flags, and the two resilience experiments.  Every command that
+batch fault flags, the two resilience experiments, and the single-run
+``run``, ``stat`` and ``latency`` commands.  Every command that
 runs a campaign passes ``--jobs 1 --no-cache``, because the worker count and
 the cache-hit count are printed.
 
@@ -86,6 +87,12 @@ CASES = {
         "experiment", "resilience", "-n", "2", *_EXEC],
     "experiment_cluster_resilience": [
         "experiment", "cluster-resilience", "-n", "1", *_EXEC],
+    "run_hpl": [
+        "run", "is", "A", "--regime", "hpl", "--seed", "2"],
+    "stat_ranks_only": [
+        "stat", "is", "A", "--ranks-only"],
+    "latency_histogram": [
+        "latency", "is", "A", "--seed", "1", "--histogram"],
 }
 
 

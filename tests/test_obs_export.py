@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.experiments.runner import run_nas_observed
+from repro.experiments.runner import run_nas_job
 from repro.obs import (
+    observe,
     trace_to_chrome,
     trace_to_ftrace,
     write_chrome_trace,
@@ -14,18 +15,22 @@ from repro.obs import (
 from repro.sim.trace import SchedTrace, TraceKind
 
 
+def _rank_pids(job):
+    return [t.pid for t in job.app.rank_tasks()]
+
+
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_observed("is", "A", "hpl", seed=3)
+    return run_nas_job("is", "A", "hpl", seed=3, instrument=observe)
 
 
 def test_chrome_export_round_trips(hpl_run, tmp_path):
     path = tmp_path / "trace.json"
     write_chrome_trace(
-        hpl_run.observer.trace,
+        hpl_run.kernel.observer.trace,
         str(path),
-        names=hpl_run.names,
-        idle_pids=hpl_run.observer.idle_pids(),
+        names=hpl_run.kernel.observer.names(),
+        idle_pids=hpl_run.kernel.observer.idle_pids(),
         end_time=hpl_run.kernel.sim.now,
     )
     doc = json.load(open(path))
@@ -36,22 +41,22 @@ def test_chrome_export_round_trips(hpl_run, tmp_path):
 
 def test_chrome_export_covers_every_rank(hpl_run):
     doc = trace_to_chrome(
-        hpl_run.observer.trace,
-        names=hpl_run.names,
-        idle_pids=hpl_run.observer.idle_pids(),
+        hpl_run.kernel.observer.trace,
+        names=hpl_run.kernel.observer.names(),
+        idle_pids=hpl_run.kernel.observer.idle_pids(),
     )
     slice_pids = {
         e["args"]["task"]
         for e in doc["traceEvents"]
         if e["ph"] == "X" and "task" in e.get("args", {})
     }
-    for pid in hpl_run.rank_pids:
+    for pid in _rank_pids(hpl_run):
         assert pid in slice_pids, f"rank pid {pid} missing from trace"
 
 
 def test_chrome_export_only_known_pids_and_cpus(hpl_run):
-    doc = trace_to_chrome(hpl_run.observer.trace, names=hpl_run.names)
-    known_pids = set(hpl_run.names)
+    doc = trace_to_chrome(hpl_run.kernel.observer.trace, names=hpl_run.kernel.observer.names())
+    known_pids = set(hpl_run.kernel.observer.names())
     n_cpus = hpl_run.kernel.machine.n_cpus
     for e in doc["traceEvents"]:
         if e["ph"] == "X":
@@ -61,7 +66,7 @@ def test_chrome_export_only_known_pids_and_cpus(hpl_run):
 
 
 def test_chrome_slices_do_not_overlap_per_cpu(hpl_run):
-    doc = trace_to_chrome(hpl_run.observer.trace, names=hpl_run.names)
+    doc = trace_to_chrome(hpl_run.kernel.observer.trace, names=hpl_run.kernel.observer.names())
     by_cpu = {}
     for e in doc["traceEvents"]:
         if e["ph"] == "X":
@@ -74,15 +79,15 @@ def test_chrome_slices_do_not_overlap_per_cpu(hpl_run):
 
 def test_ftrace_export(hpl_run, tmp_path):
     path = tmp_path / "trace.txt"
-    write_ftrace(hpl_run.observer.trace, str(path), names=hpl_run.names)
+    write_ftrace(hpl_run.kernel.observer.trace, str(path), names=hpl_run.kernel.observer.names())
     text = path.read_text()
     assert "sched_switch" in text
     assert "sched_wakeup" in text
     # Rank names appear with their comm= labels.
-    assert any(hpl_run.names[pid] in text for pid in hpl_run.rank_pids)
+    assert any(hpl_run.kernel.observer.names()[pid] in text for pid in _rank_pids(hpl_run))
     lines = text.splitlines()
     assert len([ln for ln in lines if not ln.startswith("#")]) == len(
-        hpl_run.observer.trace
+        hpl_run.kernel.observer.trace
     )
 
 

@@ -2,17 +2,22 @@
 
 import pytest
 
-from repro.experiments.runner import run_nas, run_nas_observed
+from repro.experiments.runner import run_nas, run_nas_job
+from repro.obs import observe
+
+
+def _rank_pids(job):
+    return [t.pid for t in job.app.rank_tasks()]
 
 
 @pytest.fixture(scope="module")
 def stock_run():
-    return run_nas_observed("ep", "A", "stock", seed=0)
+    return run_nas_job("ep", "A", "stock", seed=0, instrument=observe)
 
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_observed("ep", "A", "hpl", seed=0)
+    return run_nas_job("ep", "A", "hpl", seed=0, instrument=observe)
 
 
 def test_observation_is_passive(stock_run):
@@ -27,7 +32,7 @@ def test_observation_is_passive(stock_run):
 
 
 def test_latency_invariants(stock_run):
-    lat = stock_run.observer.latency
+    lat = stock_run.kernel.observer.latency
     wall = stock_run.result.wall_time
     assert lat.tasks, "no latency entries recorded"
     for entry in lat.tasks.values():
@@ -44,7 +49,7 @@ def test_latency_invariants(stock_run):
 
 
 def test_summary_consistent_with_entries(stock_run):
-    lat = stock_run.observer.latency
+    lat = stock_run.kernel.observer.latency
     s = lat.summary()
     entries = lat.entries()
     assert s.n_tasks == len(entries)
@@ -55,7 +60,7 @@ def test_summary_consistent_with_entries(stock_run):
 
 
 def test_samples_match_aggregates(stock_run):
-    lat = stock_run.observer.latency
+    lat = stock_run.kernel.observer.latency
     assert len(lat.wakeup_samples) == sum(e.n_wakeups for e in lat.tasks.values())
     assert len(lat.preempt_samples) == sum(
         e.n_preemptions for e in lat.tasks.values()
@@ -71,20 +76,20 @@ def test_stock_rank_delay_dwarfs_hpl(stock_run, hpl_run):
     """The acceptance criterion: on the same seed, the stock kernel's worst
     rank scheduling delay is >= 10x the HPL kernel's (HPC ranks spin at
     barriers and are never displaced, so theirs is ~0)."""
-    stock_max = stock_run.observer.latency.max_delay(stock_run.rank_pids)
-    hpl_max = hpl_run.observer.latency.max_delay(hpl_run.rank_pids)
+    stock_max = stock_run.kernel.observer.latency.max_delay(_rank_pids(stock_run))
+    hpl_max = hpl_run.kernel.observer.latency.max_delay(_rank_pids(hpl_run))
     assert stock_max >= 10 * max(hpl_max, 1)
     # Both the specific families behind it:
-    hpl_summary = hpl_run.observer.latency.summary(hpl_run.rank_pids)
+    hpl_summary = hpl_run.kernel.observer.latency.summary(_rank_pids(hpl_run))
     assert hpl_summary.n_preemptions == 0
     assert hpl_summary.max_preempt_wait == 0
-    stock_summary = stock_run.observer.latency.summary(stock_run.rank_pids)
+    stock_summary = stock_run.kernel.observer.latency.summary(_rank_pids(stock_run))
     assert stock_summary.n_preemptions > 0
 
 
 def test_wakeup_histogram_shape(stock_run):
-    lat = stock_run.observer.latency
-    hist = lat.wakeup_histogram(stock_run.rank_pids, n_bins=10)
+    lat = stock_run.kernel.observer.latency
+    hist = lat.wakeup_histogram(_rank_pids(stock_run), n_bins=10)
     assert hist.n_bins == 10
     assert sum(hist.counts) == hist.n
 
@@ -93,22 +98,22 @@ def test_latency_table_renders(stock_run):
     from repro.obs import render_latency_table
 
     text = render_latency_table(
-        stock_run.observer.latency,
-        pids=stock_run.rank_pids,
-        names=stock_run.names,
+        stock_run.kernel.observer.latency,
+        pids=_rank_pids(stock_run),
+        names=stock_run.kernel.observer.names(),
         with_histogram=True,
     )
     assert "Max delay ms" in text
     assert "TOTAL:" in text
-    for pid in stock_run.rank_pids:
+    for pid in _rank_pids(stock_run):
         assert f":{pid}" in text
     assert "wakeup-to-run latency" in text
 
 
 def test_interference_attribution(stock_run):
-    lat = stock_run.observer.latency
-    stolen = lat.interference_time(stock_run.rank_pids)
-    assert set(stolen) == set(stock_run.rank_pids)
+    lat = stock_run.kernel.observer.latency
+    stolen = lat.interference_time(_rank_pids(stock_run))
+    assert set(stolen) == set(_rank_pids(stock_run))
     # Daemons steal a bounded, non-negative amount of each rank's home CPU.
     for pid, t in stolen.items():
         assert 0 <= t <= stock_run.result.wall_time
@@ -116,4 +121,4 @@ def test_interference_attribution(stock_run):
 
 def test_double_attach_rejected(stock_run):
     with pytest.raises(RuntimeError):
-        stock_run.observer.latency.attach(stock_run.kernel)
+        stock_run.kernel.observer.latency.attach(stock_run.kernel)

@@ -1,14 +1,10 @@
-"""The metrics registry: instrument semantics, null path, sim profiling."""
+"""The metrics registry: instrument semantics, snapshots, sim profiling."""
 
 import json
 
 import pytest
 
 from repro.obs.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
     MetricsRegistry,
     SimProfiler,
     event_type,
@@ -67,30 +63,6 @@ def test_histogram_buckets_and_stats():
         r.histogram("bad", bounds=(2, 1))
     with pytest.raises(ValueError):
         r.histogram("empty", bounds=())
-
-
-# --------------------------------------------------------------- null path
-
-
-def test_disabled_registry_returns_shared_nulls():
-    r = MetricsRegistry(enabled=False)
-    assert r.counter("a") is NULL_COUNTER
-    assert r.counter("b", x=1) is NULL_COUNTER
-    assert r.gauge("c") is NULL_GAUGE
-    assert r.histogram("d") is NULL_HISTOGRAM
-    # No-ops never accumulate state.
-    NULL_COUNTER.inc(10)
-    NULL_GAUGE.set(5)
-    NULL_GAUGE.add(1)
-    NULL_HISTOGRAM.observe(3)
-    assert NULL_COUNTER.value == 0
-    assert NULL_GAUGE.value == 0.0
-    assert NULL_HISTOGRAM.count == 0
-    assert r.snapshot() == {"counters": [], "gauges": [], "histograms": []}
-
-
-def test_null_registry_singleton_is_disabled():
-    assert NULL_REGISTRY.counter("anything") is NULL_COUNTER
 
 
 # ---------------------------------------------------------------- snapshot

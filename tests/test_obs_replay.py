@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import run_nas_observed
+from repro.experiments.runner import run_nas_job
 from repro.obs import (
     gantt_svg,
     load_trace,
+    observe,
     replay_chrome,
     replay_ftrace,
     trace_to_chrome,
@@ -35,9 +36,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 
+def _rank_pids(job):
+    return [t.pid for t in job.app.rank_tasks()]
+
+
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_observed("is", "A", "hpl", seed=3)
+    return run_nas_job("is", "A", "hpl", seed=3, instrument=observe)
 
 
 def _event_tuples(trace: SchedTrace):
@@ -52,9 +57,9 @@ def _event_tuples(trace: SchedTrace):
 
 def test_chrome_round_trip_on_seeded_run(hpl_run):
     """An unfiltered Chrome export replays into the identical sequence."""
-    trace = hpl_run.observer.trace
+    trace = hpl_run.kernel.observer.trace
     doc = trace_to_chrome(
-        trace, names=hpl_run.names, end_time=hpl_run.kernel.sim.now
+        trace, names=hpl_run.kernel.observer.names(), end_time=hpl_run.kernel.sim.now
     )
     # JSON round-trip too: what a file on disk would hold.
     replayed = replay_chrome(json.loads(json.dumps(doc)))
@@ -62,25 +67,25 @@ def test_chrome_round_trip_on_seeded_run(hpl_run):
     assert replayed.source == "chrome"
     assert replayed.end_time == hpl_run.kernel.sim.now
     # Rank names survive via the "name/pid" slice labels.
-    for pid in hpl_run.rank_pids:
-        assert replayed.names.get(pid) == hpl_run.names[pid]
+    for pid in _rank_pids(hpl_run):
+        assert replayed.names.get(pid) == hpl_run.kernel.observer.names()[pid]
 
 
 def test_ftrace_round_trip_on_seeded_run(hpl_run):
-    trace = hpl_run.observer.trace
-    text = trace_to_ftrace(trace, names=hpl_run.names)
+    trace = hpl_run.kernel.observer.trace
+    text = trace_to_ftrace(trace, names=hpl_run.kernel.observer.names())
     replayed = replay_ftrace(text)
     assert _event_tuples(replayed.trace) == _event_tuples(trace)
     assert replayed.source == "ftrace"
-    for pid in hpl_run.rank_pids:
-        assert replayed.names.get(pid) == hpl_run.names[pid]
+    for pid in _rank_pids(hpl_run):
+        assert replayed.names.get(pid) == hpl_run.kernel.observer.names()[pid]
 
 
 def test_idle_filtered_chrome_export_is_documented_lossy(hpl_run):
     """Idle-filtered exports replay minus the idle occupancy switches."""
-    trace = hpl_run.observer.trace
-    idle = hpl_run.observer.idle_pids()
-    doc = trace_to_chrome(trace, names=hpl_run.names, idle_pids=idle)
+    trace = hpl_run.kernel.observer.trace
+    idle = hpl_run.kernel.observer.idle_pids()
+    doc = trace_to_chrome(trace, names=hpl_run.kernel.observer.names(), idle_pids=idle)
     replayed = replay_chrome(doc)
     switches = replayed.trace.events(kind=TraceKind.SWITCH)
     assert switches, "filtered export still holds the task switches"
@@ -89,11 +94,11 @@ def test_idle_filtered_chrome_export_is_documented_lossy(hpl_run):
 
 
 def test_load_trace_sniffs_both_formats(hpl_run, tmp_path):
-    trace = hpl_run.observer.trace
+    trace = hpl_run.kernel.observer.trace
     chrome = tmp_path / "t.json"
-    chrome.write_text(json.dumps(trace_to_chrome(trace, names=hpl_run.names)))
+    chrome.write_text(json.dumps(trace_to_chrome(trace, names=hpl_run.kernel.observer.names())))
     ftrace = tmp_path / "t.txt"
-    ftrace.write_text(trace_to_ftrace(trace, names=hpl_run.names))
+    ftrace.write_text(trace_to_ftrace(trace, names=hpl_run.kernel.observer.names()))
     rc = load_trace(str(chrome))
     rf = load_trace(str(ftrace))
     assert rc.source == "chrome" and rf.source == "ftrace"
@@ -231,11 +236,11 @@ def test_golden_trace_and_gantt(tmp_path):
     This is the fixture ``hpl-repro replay`` demos against, and what the CI
     determinism gate diffs across worker counts.
     """
-    run = run_nas_observed("is", "A", "stock", seed=3)
+    run = run_nas_job("is", "A", "stock", seed=3, instrument=observe)
     doc = trace_to_chrome(
-        run.observer.trace,
-        names=run.names,
-        idle_pids=run.observer.idle_pids(),
+        run.kernel.observer.trace,
+        names=run.kernel.observer.names(),
+        idle_pids=run.kernel.observer.idle_pids(),
         end_time=run.kernel.sim.now,
     )
     trace_bytes = (json.dumps(doc, indent=1) + "\n").encode()

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.apps.spmd import Program
 from repro.cluster.multinode import ClusterJob
-from repro.experiments.runner import CLUSTER_REGIMES, KERNEL_VARIANTS, _run_job
+from repro.experiments.runner import CLUSTER_REGIMES, KERNEL_VARIANTS, run_job
 from repro.faults import (
     ClusterTolerance,
     FaultEvent,
@@ -111,7 +111,7 @@ def test_node_recovery_matches_oracle(
     )
 
     def run(hook: Hook):
-        job = _run_job(
+        job = run_job(
             program, nprocs, regime, seed=seed, machine=power6_js22(),
             instrument=lambda kernel: kernel.sim.add_trace_hook(hook),
             fault_plan=plan, fault_tolerance=ft,

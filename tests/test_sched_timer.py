@@ -22,11 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.mpi import MpiApplication
-from repro.apps.nas import nas_program, nas_spec
-from repro.experiments.runner import _run_job
+from repro.experiments.runner import run_nas_job
 from repro.kernel.task import TaskState
 from repro.sim.events import EventQueue
-from repro.topology.presets import generic_smp, power6_js22
+from repro.topology.presets import generic_smp
 from repro.units import secs
 
 from tests.oracles import sched_timer
@@ -229,21 +228,6 @@ def test_keep_newest_pops_like_cancel_and_rearm(ops):
 # ------------------------------------------------------ spin timeouts
 
 
-def _nas_job(bench: str, regime: str, seed: int, instrument=None):
-    machine = power6_js22()
-    spec = nas_spec(bench, "A")
-    return _run_job(
-        nas_program(spec, machine),
-        spec.nprocs,
-        regime,
-        seed=seed,
-        machine=machine,
-        cold_speed=spec.cold_speed,
-        rewarm_scale=spec.rewarm_scale,
-        instrument=instrument,
-    )
-
-
 @pytest.mark.parametrize("bench", ["is", "mg"])
 def test_no_spin_timeout_outlives_its_release(bench):
     checked = [0]
@@ -263,7 +247,7 @@ def test_no_spin_timeout_outlives_its_release(bench):
 
         kernel.sim.add_trace_hook(before_event)
 
-    _nas_job(bench, "stock", 0, instrument)
+    run_nas_job(bench, "A", "stock", seed=0, instrument=instrument)
     assert checked[0] > 0
 
 
@@ -282,7 +266,7 @@ def _count_spin_blocks(bench: str, seed: int) -> int:
 
     MpiApplication._spin_timeout = counting
     try:
-        _nas_job(bench, "stock", seed)
+        run_nas_job(bench, "A", "stock", seed=seed)
     finally:
         MpiApplication._spin_timeout = original
     return blocks[0]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.apps.nas import nas_program, nas_spec
 from repro.apps.spmd import Program
-from repro.experiments.runner import KERNEL_VARIANTS, _run_job, resolve_kernel_config
+from repro.experiments.runner import KERNEL_VARIANTS, run_job, resolve_kernel_config
 from repro.faults import FaultEvent, FaultKind, FaultPlan, FaultTolerance
 from repro.obs.provenance import run_record
 from repro.topology.presets import power6_js22
@@ -54,7 +54,7 @@ def _observe(
 
         kernel.sim.add_trace_hook(hook)
 
-    job = _run_job(
+    job = run_job(
         program,
         nprocs,
         regime,
