@@ -21,11 +21,13 @@ Timing is NAS-style: :attr:`AppStats.app_time` spans the release of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.task import Task, TaskState
 from repro.sim.events import Event
+from repro.sim.rng import NormalBlock
 from repro.apps.spmd import Phase, PhaseKind, Program
 from repro.faults.tolerance import FaultTolerance
 
@@ -109,6 +111,9 @@ class MpiApplication:
         self.rewarm_scale = rewarm_scale
         self.rng_label = rng_label
         self._jitter_stream = f"{rng_label}.jitter"
+        #: The jitter stream's block of standard normals, opened at the
+        #: first jittered phase (see :class:`~repro.sim.rng.NormalBlock`).
+        self._jitter: Optional[NormalBlock] = None
         self.on_complete = on_complete
         self.fault_tolerance = fault_tolerance
         self.stats = AppStats()
@@ -238,7 +243,7 @@ class MpiApplication:
         elif pin:
             kwargs["affinity"] = frozenset({index % self.kernel.machine.n_cpus})
         rank = _RankState(index, f"{self.program.name}.r{index}", kwargs)
-        self._segment_done_of.append(lambda r=rank: self._segment_done(r))
+        self._segment_done_of.append(partial(self._segment_done, rank))
         self.ranks.append(rank)
         return rank
 
@@ -276,9 +281,12 @@ class MpiApplication:
         if self.work_scale != 1.0:
             work *= self.work_scale
         if phase.jitter_sigma > 0:
-            work *= self.kernel.sim.rng.lognormal(
-                self._jitter_stream, 0.0, phase.jitter_sigma
-            )
+            jitter = self._jitter
+            if jitter is None:
+                jitter = self._jitter = self.kernel.sim.rng.normal_block(
+                    self._jitter_stream
+                )
+            work *= jitter.lognormal(phase.jitter_sigma)
         return max(1, int(work))
 
     def _segment_done(self, rank: _RankState) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from repro.units import secs, usecs
@@ -175,11 +176,20 @@ def calibrated_iter_work(spec: NasSpec, machine: Machine) -> int:
 
 
 def nas_program(spec: NasSpec, machine: Machine) -> Program:
-    """Build the runnable phase program for *spec* on *machine*."""
+    """The runnable phase program for *spec* on *machine*."""
+    return _iterative_program(spec, calibrated_iter_work(spec, machine))
+
+
+@lru_cache(maxsize=16)
+def _iterative_program(spec: NasSpec, iter_work: int) -> Program:
+    """Build the program once per ``(spec, iter_work)``: a ``Program`` is
+    immutable, and a campaign asks for the same one every repetition (lu.A
+    is over a thousand phases).  Sixteen entries hold the twelve Table II
+    configurations on one machine."""
     return Program.iterative(
         name=spec.label,
         n_iters=spec.n_iters,
-        iter_work=calibrated_iter_work(spec, machine),
+        iter_work=iter_work,
         sync_latency=spec.sync_latency,
         jitter_sigma=spec.sigma_phase,
         run_jitter_sigma=spec.sigma_run,

@@ -21,7 +21,10 @@ one of them, the invariants the paper's scheduler design rests on:
 * **armed timers** — before every event, each CPU whose running task has
   work or a timeslice holds a live timer at or after the current instant,
   and no segment-handler marker is left set (the scheduler core arms a
-  CPU timer once per handler run; see ``SchedCore._program``).
+  CPU timer once per handler run; see ``SchedCore._program``);
+* **SMT busy count** — before every event, each core's incrementally kept
+  busy-thread count (what the execution rate is looked up with) equals the
+  count of its hardware threads running a non-idle task.
 
 Violations raise :class:`InvariantViolation` immediately, with the rule
 name, simulated time and CPU.  The supervised campaign layer
@@ -65,6 +68,7 @@ INVARIANT_RULES = (
     "monotone-clock",   # per-task runtime accounting never goes backwards
     "timer-armed",      # a running task with work or a slice has a live timer
     "handler-cleared",  # no segment-handler marker survives its handler
+    "smt-busy",         # each core's busy count matches its threads' rq.curr
 )
 
 
@@ -125,6 +129,7 @@ class SchedInvariantChecker:
         self.core.wakeup_hooks.append(self._on_wakeup)
         kernel.perf.migration_observers.append(self._on_migration)
         kernel.sim.add_trace_hook(self._check_timers)
+        kernel.sim.add_trace_hook(self._check_smt_busy)
 
     # ------------------------------------------------------------- failures
 
@@ -210,6 +215,27 @@ class SchedInvariantChecker:
                     f"{p.name} (pid {p.pid}) runs with work or a slice but "
                     f"its CPU timer is {event!r} before event {label!r}",
                     cpu=rq.cpu_id,
+                )
+
+    def _check_smt_busy(self, time: int, label: str) -> None:
+        """Fired (as a trace hook) before every event: the per-core busy
+        count ``SchedCore._base_rate`` reads must equal a walk over the
+        core's hardware threads."""
+        self.checks += 1
+        core = self.core
+        for cpu_id, rqs in enumerate(core._core_rqs):
+            walked = 0
+            for rq in rqs:
+                curr = rq.curr
+                if curr is not None and not curr.is_idle:
+                    walked += 1
+            kept = core._core_busy[core._core_id_of[cpu_id]]
+            if kept != walked:
+                self._fail(
+                    "smt-busy",
+                    f"core {core._core_id_of[cpu_id]} counts {kept} busy "
+                    f"thread(s) but {walked} run a task before event {label!r}",
+                    cpu=cpu_id,
                 )
 
     def _check_pick(self, cpu: int, picked: Task) -> None:

@@ -130,6 +130,12 @@ class Kernel:
         )
         self.core.select_cpu = self._select_cpu
         self.core.select_evac_cpu = self._select_evac_cpu
+        # The application layer's per-segment calls go straight to the core:
+        # a facade method that only forwarded cost one frame per phase.
+        self.set_segment: Callable[[Task, int, Callable[[], None]], None] = (
+            self.core.set_segment
+        )
+        self.set_spin: Callable[[Task], None] = self.core.set_spin
 
         #: Tasks parked by CPU hotplug (no online CPU admits them); re-woken
         #: in park order as CPUs return.
@@ -260,6 +266,8 @@ class Kernel:
             raise ValueError("SCHED_HPC requires the HPL kernel variant")
         if policy not in SchedPolicy.ALL or policy == SchedPolicy.IDLE:
             raise ValueError(f"cannot set policy {policy!r}")
+        if task.is_idle:
+            raise ValueError("the idle task's policy is fixed")
         if task.state == TaskState.RUNNABLE:
             raise ValueError(
                 "changing the policy of a queued task is not modelled; do it "
@@ -329,12 +337,8 @@ class Kernel:
         task.refresh_sched_flags()
 
     # -- execution-flow API --------------------------------------------------
-
-    def set_segment(self, task: Task, work: int, on_end: Callable[[], None]) -> None:
-        self.core.set_segment(task, work, on_end)
-
-    def set_spin(self, task: Task) -> None:
-        self.core.set_spin(task)
+    # ``set_segment(task, work, on_end)`` and ``set_spin(task)`` are the
+    # scheduler core's own bound methods, installed in ``__init__``.
 
     def block(self, task: Task) -> None:
         if task.state != TaskState.RUNNING:

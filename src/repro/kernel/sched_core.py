@@ -33,6 +33,7 @@ application runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.memsim.warmth import WarmthModel
@@ -123,23 +124,26 @@ class SchedCore:
             [t.cpu_id for t in cpu.core.threads] for cpu in machine.cpus
         ]
         #: cpu_id -> the run queues of every CPU on the same core (self
-        #: included): the object form of ``_core_cpu_ids``, so the per-event
-        #: SMT busy count reads ``rq.curr`` without an index hop.
+        #: included): the object form of ``_core_cpu_ids``, for recounting
+        #: a core's SMT busy count from its threads' ``rq.curr``.
         self._core_rqs: List[List[CpuRunqueue]] = [
             [self.rqs[c] for c in ids] for ids in self._core_cpu_ids
         ]
+        #: core_id -> how many of its hardware threads run a non-idle task
+        #: right now: the SMT busy count ``_base_rate`` indexes its tables
+        #: with.  Kept in step by :meth:`_set_curr`, the only writer of
+        #: ``rq.curr``, so the per-event rate never walks the siblings' run
+        #: queues (the sanitizer re-walks them before every event).
+        self._core_busy: List[int] = [0] * machine.n_cores
         #: cpu_id -> timer kind -> (callback, label): the per-CPU timer's
         #: arming material, built once.  Re-arming is the hottest schedule
         #: site in the simulator (once per checkpoint), and building a fresh
-        #: closure and label f-string per arm measurably dominated it.
+        #: closure and label f-string per arm measurably dominated it.  A
+        #: ``partial`` of the bound handler calls it without a lambda frame.
         self._timer_arm: List[Dict[str, tuple]] = [
             {
                 kind: (
-                    (
-                        lambda cpu_id=cpu.cpu_id, kind=kind: self._on_cpu_timer(
-                            cpu_id, kind
-                        )
-                    ),
+                    partial(self._on_cpu_timer, cpu.cpu_id, kind),
                     f"cpu{cpu.cpu_id}:{kind}",
                 )
                 for kind in ("complete", "slice")
@@ -204,7 +208,7 @@ class SchedCore:
         if rq.curr is None:
             queue.mark_queued(False)  # type: ignore[attr-defined]
             task.state = TaskState.RUNNING
-            rq.curr = task
+            self._set_curr(rq, task)
             rq.exec_start = self.sim.now
 
     # ------------------------------------------------------------ inquiries
@@ -273,15 +277,22 @@ class SchedCore:
         else:
             self._rate_mode = 0
 
+    def _set_curr(self, rq: CpuRunqueue, task: Optional[Task]) -> None:
+        """Make *task* (None: nobody) the running task of *rq*, keeping
+        its core's SMT busy count in step with the change."""
+        old = rq.curr
+        delta = (task is not None and not task.is_idle) - (
+            old is not None and not old.is_idle
+        )
+        if delta:
+            self._core_busy[self._core_id_of[rq.cpu_id]] += delta
+        rq.curr = task
+
     def _base_rate(self, rq: CpuRunqueue) -> float:
         """Execution rate of the task on *rq* right now: SMT co-run factor
         times the tick-bookkeeping haircut (both via the precomputed
         tables — see :meth:`_rebuild_rate_tables`)."""
-        busy = 0
-        for other in self._core_rqs[rq.cpu_id]:
-            curr = other.curr
-            if curr is not None and not curr.is_idle:
-                busy += 1
+        busy = self._core_busy[self._core_id_of[rq.cpu_id]]
         if busy < 1:
             busy = 1
         mode = self._rate_mode
@@ -485,7 +496,7 @@ class SchedCore:
             return
         self.update_curr(rq.cpu_id)
         self._checkpoint_siblings(rq.cpu_id)
-        rq.curr = None
+        self._set_curr(rq, None)
         if not curr.is_idle:
             curr.nr_involuntary_switches += 1
             self._note_preemption(rq, curr, by)
@@ -521,7 +532,7 @@ class SchedCore:
         curr.nr_voluntary_switches += 1
         self.perf.record_voluntary_switch(curr)
         self._snapshot_eviction(curr)
-        rq.curr = None
+        self._set_curr(rq, None)
         self._dispatch(rq, prev=curr)
         return curr
 
@@ -535,7 +546,7 @@ class SchedCore:
         self._checkpoint_siblings(cpu_id)
         curr.state = TaskState.EXITED
         curr.exited_at = self.sim.now
-        rq.curr = None
+        self._set_curr(rq, None)
         self._dispatch(rq, prev=curr)
         return curr
 
@@ -557,7 +568,7 @@ class SchedCore:
         curr.state = TaskState.RUNNABLE
         self._snapshot_eviction(curr)
         cls.put_prev(queue, curr)
-        rq.curr = None
+        self._set_curr(rq, None)
         self._dispatch(rq, prev=curr)
 
     # ----------------------------------------------------------- migration
@@ -598,7 +609,7 @@ class SchedCore:
                 hook(self.sim.now, cpu_id, victim, "rt")
         victim.state = TaskState.RUNNABLE
         self._snapshot_eviction(victim)
-        rq.curr = None
+        self._set_curr(rq, None)
         # The migration daemon briefly runs on the source CPU: one switch
         # into the daemon here; the switch out of it is the dispatch below.
         self.perf.record_context_switch(cpu_id, class_name="rt")
@@ -683,7 +694,7 @@ class SchedCore:
                 hook(self.sim.now, cpu_id, task, "rt")
         self._snapshot_eviction(task)
         self._park(task)
-        rq.curr = None
+        self._set_curr(rq, None)
         self._dispatch(rq, prev=task)
 
     def offline_cpu(self, cpu_id: int) -> HotplugReport:
@@ -756,7 +767,10 @@ class SchedCore:
         task.remaining_work = work
         task.on_segment_end = on_end
         task.spinning = False
-        if running:
+        # Inside the task's own segment handler (the common case) the
+        # re-arm after the handler is the only one: _program would return
+        # right after the checkpoint just taken, so it is not called.
+        if running and (task is not self.handler_task or rq is not self.handler_rq):
             self._program(rq)
 
     def set_spin(self, task: Task) -> None:
@@ -769,7 +783,7 @@ class SchedCore:
         task.remaining_work = None
         task.on_segment_end = None
         task.spinning = True
-        if running:
+        if running and (task is not self.handler_task or rq is not self.handler_rq):
             self._program(rq)
 
     def charge_overhead(self, cpu_id: int, cost: int) -> None:
@@ -823,7 +837,7 @@ class SchedCore:
             self._snapshot_eviction(next_task)
         elif not next_task.is_idle:
             self._apply_lazy_eviction(next_task)
-        rq.curr = next_task
+        self._set_curr(rq, next_task)
         rq.exec_start = now
         self._program(rq)
         self._reprogram_core_siblings(rq.cpu_id)

@@ -206,11 +206,13 @@ class WarmthModel:
         if base_rate <= 0:
             raise ValueError("base_rate must be positive")
 
-        # Re-programming a CPU timer within one instant repeats this
-        # inversion with identical inputs about a third of the time (sibling
-        # reprograms, defensive re-arms); the one-slot memo answers those
-        # without re-running Newton.  The key embeds the warmth value, so
-        # any warmth update since the last call misses naturally.
+        # One-slot memo: a repeat of the last inversion with the same
+        # warmth, work and rate.  Measured on the class-A NAS table it
+        # answers 0.7% of calls; almost every re-arm follows an accounting
+        # checkpoint that moved the warmth or the remaining work.  The key
+        # leaves out ``cold_speed`` and ``rewarm_scale``, so a change to
+        # either after an inversion can return a stale answer (see
+        # ``test_memo_key_ignores_cold_speed_and_rewarm_scale``).
         memo = state._tfw_memo
         warmth_now = state.warmth
         if (
@@ -229,13 +231,6 @@ class WarmthModel:
         gap = 1.0 - state.warmth
         exp = math.exp
 
-        def work_done(delta: int) -> float:
-            # mean_speed_over(state, delta) * delta * base_rate, inlined
-            # with the identical operand order (delta >= 1 at every call
-            # site, so the delta == 0 branch is unreachable here).
-            mean_warmth = 1.0 - gap * tau * (1.0 - exp(-delta / tau)) / delta
-            return (cold + (1.0 - cold) * mean_warmth) * delta * base_rate
-
         # Even at the cold floor the task finishes within this.
         hi = int(work_us / (base_rate * cold)) + 2
 
@@ -247,25 +242,42 @@ class WarmthModel:
         d = target + c
         if c > 0.0:
             for _ in range(12):
-                e = math.exp(-d / tau)
+                e = exp(-d / tau)
                 f = d - c * (1.0 - e) - target
                 step = f / (1.0 - (c / tau) * e)
                 d -= step
                 if step < 0.5:
                     break
 
-        # Snap to the minimal integer satisfying the historical predicate.
+        # Snap to the minimal integer satisfying the historical predicate
+        # "work done in k µs >= work_us", i.e.
+        # mean_speed_over(state, k) * k * base_rate >= work_us.  It is
+        # written out below at each use with mean_speed_over's operand
+        # order; ``gap * tau`` and ``1 - cold`` are its leading products,
+        # so hoisting them changes no bit (k >= 1 at every use).
+        gap_tau = gap * tau
+        warm = 1.0 - cold
         n = int(d)
         if n < 1:
             n = 1
         elif n > hi:
             n = hi
-        if work_done(n) >= work_us:
-            while n > 1 and work_done(n - 1) >= work_us:
-                n -= 1
+        if (cold + warm * (1.0 - gap_tau * (1.0 - exp(-n / tau)) / n)) * n * base_rate >= work_us:
+            while n > 1:
+                k = n - 1
+                if (
+                    (cold + warm * (1.0 - gap_tau * (1.0 - exp(-k / tau)) / k)) * k * base_rate
+                    < work_us
+                ):
+                    break
+                n = k
         else:
             n += 1
-            while n < hi and work_done(n) < work_us:
+            while (
+                n < hi
+                and (cold + warm * (1.0 - gap_tau * (1.0 - exp(-n / tau)) / n)) * n * base_rate
+                < work_us
+            ):
                 n += 1
         state._tfw_memo = (warmth_now, work_us, base_rate, n)
         return n

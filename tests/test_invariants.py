@@ -46,6 +46,7 @@ def test_attach_sanitizer_respects_env(monkeypatch):
     assert k.sanitizer._on_wakeup in k.core.wakeup_hooks
     assert k.sanitizer._on_migration in k.perf.migration_observers
     assert k.sanitizer._check_timers in k.sim._trace_hooks
+    assert k.sanitizer._check_smt_busy in k.sim._trace_hooks
 
 
 # ---------------------------------------------------------------- clean runs
@@ -189,6 +190,21 @@ def test_handler_cleared_violation(monkeypatch):
     with pytest.raises(InvariantViolation) as excinfo:
         checker._check_timers(0, "probe")
     assert excinfo.value.rule == "handler-cleared"
+
+
+def test_smt_busy_violation_fires_before_next_event(monkeypatch):
+    checker = _checker(monkeypatch)
+    kernel = checker.kernel
+    rq = _running_worker(checker)
+    checker._check_smt_busy(0, "probe")  # kept in step: clean
+    core = kernel.core
+    core._core_busy[core._core_id_of[rq.cpu_id]] += 1  # corrupt the count
+    kernel.sim.after(1, lambda: None, label="probe")
+    with pytest.raises(InvariantViolation) as excinfo:
+        kernel.sim.run_until(10)
+    assert excinfo.value.rule == "smt-busy"
+    assert "probe" in str(excinfo.value)
+    assert "smt-busy" in INVARIANT_RULES
 
 
 # --------------------------------------------------- supervisor interaction

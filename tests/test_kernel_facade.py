@@ -82,6 +82,11 @@ def test_setscheduler_validation(hpl_kernel):
         hpl_kernel.sched_setscheduler(t, SchedPolicy.IDLE)
     with pytest.raises(ValueError):
         hpl_kernel.sched_setscheduler(t, SchedPolicy.FIFO, rt_priority=0)
+    # The idle task stays idle: the SMT busy count is kept per rq.curr
+    # change and would miss an idle task turning into real work.
+    swapper = next(t for t in hpl_kernel.tasks.values() if t.is_idle)
+    with pytest.raises(ValueError):
+        hpl_kernel.sched_setscheduler(swapper, SchedPolicy.NORMAL)
 
 
 def test_setscheduler_rejected_for_queued_task(stock_kernel):

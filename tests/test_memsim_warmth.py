@@ -182,3 +182,19 @@ def test_time_for_work_zero_and_errors(model):
     assert model.time_for_work(state, 0, 1.0) == 0
     with pytest.raises(ValueError):
         model.time_for_work(state, 100, 0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="time_for_work's one-slot memo is keyed on (warmth, work, rate) "
+    "only; MpiApplication._fork sets cold_speed and rewarm_scale after the "
+    "first segment was armed, and the next arm reads the stale answer",
+)
+def test_memo_key_ignores_cold_speed_and_rewarm_scale(model):
+    state = model.new_task(0)
+    assert model.time_for_work(state, 2995, 0.999) == 3992
+    state.cold_speed = 0.4
+    state.rewarm_scale = 4.0
+    fresh = TaskWarmth(state.warmth, 0, cold_speed=0.4, rewarm_scale=4.0)
+    assert model.time_for_work(fresh, 2995, 0.999) == 5733
+    assert model.time_for_work(state, 2995, 0.999) == 5733  # returns 3992
