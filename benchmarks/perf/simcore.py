@@ -14,6 +14,10 @@ The suite measures the per-event hot path at three granularities:
 * **fabric** — a warm-cache replay of an 8-run ``lu.A`` campaign: spec
   building and digesting, cache reads, the journal and provenance, with
   no simulation at all (the path a cached report regeneration takes);
+  and the pool cost of a multi-campaign command: the eight sim-priced
+  batch campaigns of ``experiment two-level -n 2 --jobs 2 --no-cache``,
+  run in a fresh interpreter so every repetition starts with no worker
+  pool and cold price memos, as the command does;
 * **batch** — the batch dispatcher alone, under analytic pricing on a
   16-node pool, reported as dispatched jobs per wall second: one 1k-job
   backlog trace (arrivals at about twice the drain rate) per policy, and
@@ -44,6 +48,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -284,6 +289,44 @@ def fabric_replay(reps: int = DEFAULT_REPS, n_runs: int = 8) -> Dict[str, float]
     return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
 
 
+#: The two-level experiment's campaigns at ``n_jobs=2`` without the cache;
+#: prints their wall seconds.  ``argv[1]`` is the ``repro`` source root.
+_POOLED_TWO_LEVEL = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from repro.experiments.twolevel import two_level_campaign
+t0 = time.perf_counter()
+two_level_campaign(n_runs=int(sys.argv[2]), base_seed=0, n_jobs=2,
+                   use_cache=False)
+print(time.perf_counter() - t0)
+"""
+
+
+def fabric_pooled(reps: int = DEFAULT_REPS, n_runs: int = 2) -> Dict[str, float]:
+    """Eight small sim-priced batch campaigns at ``n_jobs=2`` (runs/sec).
+
+    The two-level experiment's shape: four policies x stock/HPL, 12-job
+    traces, *n_runs* repetitions each, no result cache.  Each repetition
+    is one fresh interpreter, like one CLI command, and times only the
+    campaigns, so the score carries what the command pays for its worker
+    pool (forks, start-up, shutdown, cold price memos) but no imports."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    runs = 8 * n_runs
+
+    def run() -> Tuple[float, float]:
+        done = subprocess.run(
+            [sys.executable, "-c", _POOLED_TWO_LEVEL, src, str(n_runs)],
+            check=True, capture_output=True, text=True,
+        )
+        dt = float(done.stdout.split()[-1])
+        return runs / dt, dt
+
+    score, wall = _best_of(run, reps)
+    return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
+
+
 def _batch_lane(legs, reps: int) -> Dict[str, float]:
     """Dispatch every ``(trace, policy, extra simulate_batch kwargs)`` leg
     on a 16-node pool under analytic pricing (jobs/sec).
@@ -362,6 +405,7 @@ SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "nas_is_A_stock": lambda: _macro_nas("is", "A", "stock", DEFAULT_REPS, inner=4),
     "campaign_is_A_16": campaign_is_a,
     "fabric_replay": fabric_replay,
+    "fabric_pooled": fabric_pooled,
     "batch_dispatch_fcfs": lambda: batch_dispatch("fcfs"),
     "batch_dispatch_easy": lambda: batch_dispatch("easy"),
     "batch_dispatch_priority": lambda: batch_dispatch("priority"),

@@ -41,16 +41,21 @@ harness* as a system to be made fault-tolerant in its own right:
   every miss goes through one submit → wait → settle loop.  With
   ``n_jobs=1`` (or at most one miss) that loop submits to an in-process
   executor whose futures come back already settled, so a serial campaign
-  never touches ``multiprocessing``; otherwise a process pool keeps at
-  most ``4 × n_jobs`` repetitions in flight, so a 1000-run campaign
-  neither floods the executor queue nor holds every pickled result alive
-  at once.  Whatever order runs finish in, records (and therefore
-  provenance JSONL) are emitted strictly in run-index order, so outputs
-  are byte-identical at any worker count.
+  never touches ``multiprocessing``; otherwise the process's one campaign
+  worker pool keeps at most ``4 × n_jobs`` repetitions in flight, so a
+  1000-run campaign neither floods the executor queue nor holds every
+  pickled result alive at once.  That pool is forked at the first pooled
+  campaign and reused by every later one while its worker count, owning
+  pid and environment stay the same, so a command that runs many short
+  campaigns forks once and its workers keep their warm in-process memos.
+  Whatever order runs finish in, records (and therefore provenance JSONL)
+  are emitted strictly in run-index order, so outputs are byte-identical
+  at any worker count.
 """
 
 from __future__ import annotations
 
+import atexit
 import errno
 import json
 import os
@@ -554,6 +559,53 @@ def _exit_with_parent(parent: int) -> None:
     threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
 
 
+#: The process's campaign worker pool and the key it was built under:
+#: ``(workers, owning pid, environment snapshot)``.  The environment is
+#: part of the key because workers read it (``REPRO_SANITIZE``) when they
+#: boot a kernel.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_key: Optional[tuple] = None
+
+
+def _campaign_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process's *jobs*-worker pool: built at the first pooled
+    campaign and reused by every later one under the same key.  A pool
+    built under another key is shut down first."""
+    global _pool, _pool_key
+    key = (jobs, os.getpid(), tuple(sorted(os.environ.items())))
+    if _pool is None or _pool_key != key:
+        _drop_pool()
+        _pool = ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
+        _pool_key = key
+    return _pool
+
+
+def _forget_pool(pool: ProcessPoolExecutor) -> None:
+    """Stop handing out *pool* (it was killed) without shutting it down."""
+    global _pool, _pool_key
+    if _pool is pool:
+        _pool = _pool_key = None
+
+
+def _drop_pool() -> None:
+    """Shut the process's pool down and forget it; a no-op without one.
+    A pool inherited over ``fork`` belongs to the parent and is only
+    forgotten."""
+    pool, key = _pool, _pool_key
+    if pool is None:
+        return
+    _forget_pool(pool)
+    if key[1] == os.getpid():
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+atexit.register(_drop_pool)
+
+
 @dataclass
 class _PendingRun:
     """One repetition still owed a result, with its failure history."""
@@ -771,10 +823,12 @@ class _Supervisor:
         """Submit → wait → settle until every run in *queue* is settled.
 
         *inline* runs each repetition in this process, one at a time;
-        otherwise a process pool keeps ``_CHUNK_FACTOR`` runs per worker in
-        flight.  A failed attempt parks in ``_deferred`` until its seeded
-        backoff expires — whether the run raised or the pool broke under
-        it — so a waiting run never blocks the runs behind it."""
+        otherwise the process's campaign pool keeps ``_CHUNK_FACTOR`` runs
+        per worker in flight.  A failed attempt parks in ``_deferred``
+        until its seeded backoff expires — whether the run raised or the
+        pool broke under it — so a waiting run never blocks the runs
+        behind it.  After a shrink the pool is keyed at the smaller size,
+        so the next campaign builds a full-size one again."""
         jobs = 1 if inline else self.n_jobs
         hard_deadline = None if inline else self._hard_deadline()
         pool = None
@@ -795,15 +849,7 @@ class _Supervisor:
                     (queue if run.eligible_at <= now else still).append(run)
                 self._deferred = still
                 if pool is None:
-                    pool = (
-                        _InlineExecutor()
-                        if inline
-                        else ProcessPoolExecutor(
-                            max_workers=min(jobs, len(queue) + len(still)),
-                            initializer=_exit_with_parent,
-                            initargs=(os.getpid(),),
-                        )
-                    )
+                    pool = _InlineExecutor() if inline else _campaign_pool(jobs)
 
                 window = 1 if inline else _CHUNK_FACTOR * jobs
                 broken: Optional[BrokenExecutor] = None
@@ -862,8 +908,10 @@ class _Supervisor:
                         self.result.pool_shrinks += 1
                         self.telemetry.pool_shrink(jobs=jobs)
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            if futures:
+                # Raised with runs in flight: stop them rather than hand
+                # the next campaign a busy pool.
+                _drop_pool()
 
     def _hard_deadline(self) -> Optional[float]:
         """Seconds after dispatch at which an in-flight pool future is
@@ -886,6 +934,7 @@ class _Supervisor:
                 proc.terminate()
             except OSError:  # pragma: no cover - already gone
                 pass
+        _forget_pool(pool)
         pool.shutdown(wait=False, cancel_futures=True)
         deadline = time.monotonic() + 1.0
         for proc in processes:

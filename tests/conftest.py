@@ -16,6 +16,7 @@ import pytest
 
 from repro.kernel.daemons import quiet_profile
 from repro.kernel.kernel import Kernel, KernelConfig
+from repro.parallel.supervisor import _drop_pool
 from repro.topology.presets import generic_smp, power6_js22
 
 _TEST_TIMEOUT_S = int(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
@@ -49,6 +50,17 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_campaign_pool():
+    """Shut the process's campaign worker pool down after every test.
+
+    Pooled campaigns reuse one forked pool per process.  A test's
+    monkeypatches are undone at teardown, but workers forked under them
+    would keep them, so no pool outlives the test that built it."""
+    yield
+    _drop_pool()
 
 
 @pytest.fixture

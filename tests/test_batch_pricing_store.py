@@ -28,6 +28,7 @@ from repro.batch import (
 )
 from repro.batch.workload import BatchJob
 from repro.parallel.cache import PRICING_DIR
+from repro.parallel.supervisor import _drop_pool
 
 SMALL = WorkloadConfig(n_jobs=6, interarrival_us=3_000, max_nodes=2)
 
@@ -64,11 +65,14 @@ def fake_sim(monkeypatch):
 
 
 def _forbid_simulation(monkeypatch):
-    """Make any node-level simulation fail; forked workers inherit it."""
+    """Make any node-level simulation fail.  The campaign pool is shut
+    down, so the next pooled campaign forks workers that inherit the ban
+    and start with an empty price memo."""
     def boom(*args, **kwargs):
         raise AssertionError("simulated a shape the pricing store holds")
 
     monkeypatch.setattr(multinode, "run_cluster_job", boom)
+    _drop_pool()
 
 
 def _job(seed, n_nodes=1):
@@ -174,7 +178,10 @@ def test_damaged_entry_is_a_miss_and_rewritten(tmp_path, fake_sim, damage):
 def test_provenance_identical_cold_warm_and_uncached(tmp_path, monkeypatch,
                                                      n_jobs):
     def provenance(tag, **kwargs):
+        # Pooled workers keep their price memo across campaigns; drop
+        # the pool too so every run starts with no price in memory.
         clear_runtime_memo()
+        _drop_pool()
         path = tmp_path / f"{tag}.jsonl"
         _campaign("share", n_jobs, provenance_path=str(path), **kwargs)
         return path.read_bytes()

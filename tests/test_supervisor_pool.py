@@ -1,4 +1,5 @@
-"""Pool-mode supervision: hung workers, worker death, degradation.
+"""Pool-mode supervision: hung workers, worker death, degradation, and
+the life cycle of the process's one campaign worker pool.
 
 Workers here are module-level functions (optionally bound with
 ``functools.partial``) because they cross the process boundary by pickling.
@@ -19,9 +20,16 @@ from pathlib import Path
 
 import pytest
 
+import repro.parallel.supervisor as supervisor
 from repro.apps.spmd import Program
-from repro.experiments.runner import build_campaign_specs
+from repro.batch import WorkloadConfig, run_batch_campaign
+from repro.experiments.runner import (
+    build_campaign_specs,
+    run_campaign,
+    run_cluster_campaign,
+)
 from repro.parallel import (
+    CampaignRunError,
     RetryPolicy,
     SupervisorConfig,
     WorkerPoolError,
@@ -47,6 +55,24 @@ def _specs(n_runs: int, base_seed: int = 0):
 
 def _ok(spec):
     return spec.seed * 2, None
+
+
+def _pid(spec):
+    return os.getpid(), None
+
+
+def _sanitize_flag(spec):
+    return os.environ.get("REPRO_SANITIZE"), None
+
+
+def _fail_first_while_others_run(flag_dir: str, spec):
+    """Run 0 fails at once; every other run marks its start and outlasts
+    the campaign that aborts over run 0."""
+    if spec.run_index == 0:
+        raise ValueError("run 0 fails")
+    open(os.path.join(flag_dir, f"started-{spec.run_index}"), "w").close()
+    time.sleep(0.5)
+    return spec.seed, None
 
 
 def _hang_once(flag_dir: str, spec):
@@ -302,3 +328,145 @@ def test_sigkilled_campaign_leaves_no_pool_worker(tmp_path):
         for pid in pids:
             if not _exited(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+# ------------------------------------------------- one pool per process
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every process pool the supervisor constructs, in order, starting
+    from a process without one."""
+    supervisor._drop_pool()
+    pools = []
+    real = supervisor.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", counting)
+    return pools
+
+
+#: One small campaign per kind; three misses each, so n_jobs=2 pools them.
+_LAUNCHERS = {
+    "node": lambda **kw: run_campaign(
+        _tiny_program, 4, "stock", 3,
+        machine_factory=lambda: generic_smp(4), **kw),
+    "cluster": lambda **kw: run_cluster_campaign(
+        _tiny_program, 2, "stock", 3, nprocs_per_node=2, **kw),
+    "batch": lambda **kw: run_batch_campaign(
+        "easy", 2, "hpl", 3, runtime_model="sim",
+        workload=WorkloadConfig(n_jobs=4, interarrival_us=3_000,
+                                max_nodes=2), **kw),
+}
+
+
+def test_pooled_campaigns_reuse_one_pool_and_match_serial(tmp_path, built):
+    provenance = {}
+    for n_jobs in (1, 2):
+        for kind, launch in _LAUNCHERS.items():
+            path = tmp_path / f"{kind}-{n_jobs}.jsonl"
+            launch(provenance_path=str(path), n_jobs=n_jobs)
+            provenance[kind, n_jobs] = path.read_bytes()
+    assert len(built) == 1
+    for kind in _LAUNCHERS:
+        assert provenance[kind, 2] == provenance[kind, 1]
+
+
+def test_campaign_after_a_pool_death_runs_on_a_new_pool(tmp_path, built):
+    first = supervise_campaign(
+        _specs(4, base_seed=7), partial(_die_once, str(tmp_path)), n_jobs=2,
+        config=SupervisorConfig(retry=RetryPolicy(max_retries=3)),
+    )
+    assert first.retries >= 1
+    assert len(built) == 2  # the pool that died and its replacement
+    dead, live = built
+    assert supervisor._pool is live
+
+    second = supervise_campaign(_specs(4, base_seed=8), _pid, n_jobs=2)
+    assert len(built) == 2
+    assert second.retries == 0
+    assert {r.result for r in second.records} <= set(live._processes)
+
+
+def test_changing_n_jobs_builds_a_pool_of_the_new_size(built):
+    supervise_campaign(_specs(4), _pid, n_jobs=2)
+    third = supervise_campaign(_specs(6), _pid, n_jobs=3)
+    assert [pool._max_workers for pool in built] == [2, 3]
+    assert supervisor._pool is built[1]
+    assert built[0]._shutdown_thread  # the two-worker pool was shut down
+    assert {r.result for r in third.records} <= set(built[1]._processes)
+
+
+def test_shrunk_pool_serves_one_campaign_only(built):
+    shrunk = supervise_campaign(
+        _specs(2), _die_always, n_jobs=2,
+        config=SupervisorConfig(
+            retry=RetryPolicy(max_retries=2, backoff_base_s=0.01),
+            allow_partial=True,
+        ),
+    )
+    assert shrunk.pool_shrinks == 1
+    assert built[-1]._max_workers == 1
+    supervise_campaign(_specs(4), _ok, n_jobs=2)
+    assert supervisor._pool._max_workers == 2
+
+
+def test_campaign_that_raises_stops_its_runs_and_drops_the_pool(
+        tmp_path, built):
+    with pytest.raises(CampaignRunError):
+        supervise_campaign(
+            _specs(8), partial(_fail_first_while_others_run, str(tmp_path)),
+            n_jobs=2,
+            config=SupervisorConfig(retry=RetryPolicy(deterministic_retries=0)),
+        )
+    assert supervisor._pool is None
+    assert built[0]._shutdown_thread
+    # The shutdown cancelled the queued runs instead of running them out.
+    assert len(list(tmp_path.glob("started-*"))) < 7
+
+
+def test_environment_change_rebuilds_the_pool(monkeypatch, built):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    before = supervise_campaign(_specs(4), _sanitize_flag, n_jobs=2)
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    after = supervise_campaign(_specs(4), _sanitize_flag, n_jobs=2)
+    assert len(built) == 2
+    assert {r.result for r in before.records} == {None}
+    assert {r.result for r in after.records} == {"1"}
+
+
+#: Two pooled campaigns on one pool; prints every worker pid it saw.
+_TWO_CAMPAIGNS = """
+from repro.parallel import supervise_campaign
+from tests.test_supervisor_pool import _pid, _specs
+pids = set()
+for seed in (0, 1):
+    result = supervise_campaign(_specs(4, base_seed=seed), _pid, n_jobs=2)
+    pids.update(r.result for r in result.records)
+print(" ".join(str(pid) for pid in sorted(pids)))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_normal_exit_leaves_no_pool_worker():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    done = subprocess.run(
+        [sys.executable, "-c", _TWO_CAMPAIGNS], cwd=root, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert 1 <= len(pids) <= 2
+    deadline = time.monotonic() + 1.0
+    while (not all(_exited(pid) for pid in pids)
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    alive = [pid for pid in pids if not _exited(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
