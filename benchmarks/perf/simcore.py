@@ -18,6 +18,9 @@ The suite measures the per-event hot path at three granularities:
   batch campaigns of ``experiment two-level -n 2 --jobs 2 --no-cache``,
   run in a fresh interpreter so every repetition starts with no worker
   pool and cold price memos, as the command does;
+* **startup** — the import cost of a short command: a fresh interpreter
+  importing ``repro.cli`` and ``repro.batch`` and dispatching one 50-job
+  analytic trace, reported as commands per wall second;
 * **batch** — the batch dispatcher alone, under analytic pricing on a
   16-node pool, reported as dispatched jobs per wall second: one 1k-job
   backlog trace (arrivals at about twice the drain rate) per policy, and
@@ -327,6 +330,46 @@ def fabric_pooled(reps: int = DEFAULT_REPS, n_runs: int = 2) -> Dict[str, float]
     return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
 
 
+#: A short analytic batch command: the CLI and batch imports plus one
+#: 50-job FCFS schedule; prints their wall seconds.  ``argv[1]`` is the
+#: ``repro`` source root.
+_STARTUP = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import repro.cli, repro.batch
+from repro.batch import WorkloadConfig, generate_trace, simulate_batch
+trace = generate_trace(WorkloadConfig(n_jobs=50, interarrival_us=1_840,
+                                      max_nodes=4), 0)
+simulate_batch(trace, 16, "fcfs", runtime_model="analytic")
+print(time.perf_counter() - t0)
+"""
+
+
+def startup(reps: int = DEFAULT_REPS) -> Dict[str, float]:
+    """Start-up cost of a short batch command (commands/sec).
+
+    Each repetition is one fresh interpreter that imports ``repro.cli``
+    and ``repro.batch`` and dispatches one 50-job analytic trace, timed
+    from before the imports to the end of the schedule.  The schedule
+    takes a few milliseconds, so the score is almost all import cost: what
+    every command of a sweep of short commands pays before it simulates."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+    def run() -> Tuple[float, float]:
+        done = subprocess.run(
+            [sys.executable, "-c", _STARTUP, src],
+            check=True, capture_output=True, text=True,
+        )
+        dt = float(done.stdout.split()[-1])
+        return 1.0 / dt, dt
+
+    score, wall = _best_of(run, reps)
+    return {"score": score, "unit": "cmds/s", "wall_s": round(wall, 4)}
+
+
 def _batch_lane(legs, reps: int) -> Dict[str, float]:
     """Dispatch every ``(trace, policy, extra simulate_batch kwargs)`` leg
     on a 16-node pool under analytic pricing (jobs/sec).
@@ -393,8 +436,8 @@ def batch_churn(reps: int = DEFAULT_REPS) -> Dict[str, float]:
 
 
 #: Metric name -> zero-argument measurement callable.  Ordered micro →
-#: macro → campaign → fabric → batch so a partial run still reports the
-#: cheap end.
+#: macro → campaign → fabric → startup → batch so a partial run still
+#: reports the cheap end.
 SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "micro_event_queue": micro_event_queue,
     "micro_sim_loop": micro_sim_loop,
@@ -406,6 +449,7 @@ SUITE: Dict[str, Callable[[], Dict[str, float]]] = {
     "campaign_is_A_16": campaign_is_a,
     "fabric_replay": fabric_replay,
     "fabric_pooled": fabric_pooled,
+    "startup": startup,
     "batch_dispatch_fcfs": lambda: batch_dispatch("fcfs"),
     "batch_dispatch_easy": lambda: batch_dispatch("easy"),
     "batch_dispatch_priority": lambda: batch_dispatch("priority"),

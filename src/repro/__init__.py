@@ -23,28 +23,20 @@ Quickstart::
     print(hpl.app_time_s, hpl.cpu_migrations, hpl.context_switches)
 """
 
-# Defined before the submodule imports: repro.parallel reads it back during
-# package initialization (it is part of the campaign-cache key).
+from repro._lazy import lazy_exports
+
+# The package version, reported by ``hpl-repro --version``.  Campaign cache
+# keys do not use it: they carry ``repro.parallel.jobspec.model_epoch()``,
+# a hash of the model source.
 __version__ = "1.0.0"
 
-from repro.topology import power6_js22, Machine
-from repro.kernel import Kernel, KernelConfig, Task, SchedPolicy
-from repro.apps import LaunchMode, MpiJob, nas_spec, nas_program
-from repro.experiments.runner import run_nas, run_campaign, CampaignResult
-
-__all__ = [
-    "power6_js22",
-    "Machine",
-    "Kernel",
-    "KernelConfig",
-    "Task",
-    "SchedPolicy",
-    "LaunchMode",
-    "MpiJob",
-    "nas_spec",
-    "nas_program",
-    "run_nas",
-    "run_campaign",
-    "CampaignResult",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.presets": ("power6_js22",),
+    "repro.topology.machine": ("Machine",),
+    "repro.kernel.kernel": ("Kernel", "KernelConfig"),
+    "repro.kernel.task": ("Task", "SchedPolicy"),
+    "repro.apps.mpiexec": ("LaunchMode", "MpiJob"),
+    "repro.apps.nas": ("nas_spec", "nas_program"),
+    "repro.experiments.runner": ("run_nas", "run_campaign", "CampaignResult"),
+})
+__all__.append("__version__")

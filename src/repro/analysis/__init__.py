@@ -5,32 +5,22 @@ between maximum and minimum performance values divided by the minimum value"
 (§V footnote 8); counters are reported as min/avg/max over the campaign.
 """
 
-from repro.analysis.stats import RunStatistics, summarize, variation_pct
-from repro.analysis.histogram import Histogram, build_histogram, render_ascii_histogram
-from repro.analysis.correlation import pearson, spearman, binned_means, CorrelationReport, correlate
-from repro.analysis.tables import TextTable, render_table
-from repro.analysis.timeline import Interval, Timeline, build_timeline, render_gantt
-from repro.analysis.decomposition import NoiseDecomposition, decompose_nas_noise, decompose_noise
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RunStatistics",
-    "summarize",
-    "variation_pct",
-    "Histogram",
-    "build_histogram",
-    "render_ascii_histogram",
-    "pearson",
-    "spearman",
-    "binned_means",
-    "CorrelationReport",
-    "correlate",
-    "TextTable",
-    "render_table",
-    "Interval",
-    "Timeline",
-    "build_timeline",
-    "render_gantt",
-    "NoiseDecomposition",
-    "decompose_nas_noise",
-    "decompose_noise",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.stats": ("RunStatistics", "summarize", "variation_pct"),
+    "repro.analysis.histogram": (
+        "Histogram", "build_histogram", "render_ascii_histogram",
+    ),
+    "repro.analysis.correlation": (
+        "pearson", "spearman", "binned_means", "CorrelationReport",
+        "correlate",
+    ),
+    "repro.analysis.tables": ("TextTable", "render_table"),
+    "repro.analysis.timeline": (
+        "Interval", "Timeline", "build_timeline", "render_gantt",
+    ),
+    "repro.analysis.decomposition": (
+        "NoiseDecomposition", "decompose_nas_noise", "decompose_noise",
+    ),
+})

@@ -12,10 +12,10 @@ labels, bars, points, a title, and axis captions.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 __all__ = ["SvgCanvas", "histogram_svg", "scatter_svg"]
 
@@ -70,7 +70,7 @@ class SvgCanvas:
         self._parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}"{transform}>'
-            f"{escape(content)}</text>"
+            f"{html.escape(content, quote=False)}</text>"
         )
 
     def render(self) -> str:

@@ -18,37 +18,16 @@ phase" (§II).  This package models them at that granularity:
   discusses (stock CFS, nice, RT, pinned affinity, HPC class).
 """
 
-from repro.apps.spmd import Phase, PhaseKind, Program
-from repro.apps.mpi import MpiApplication, AppStats
-from repro.apps.nas import NasSpec, nas_spec, nas_program, NAS_BENCHMARKS
-from repro.apps.mpiexec import LaunchMode, MpiJob, JobResult
-from repro.apps.hybrid import HybridApplication, HybridStats
-from repro.apps.workloads import (
-    bulk_synchronous,
-    irregular_bsp,
-    parameter_sweep_batch,
-    pipeline,
-    stencil_with_checkpoints,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Phase",
-    "PhaseKind",
-    "Program",
-    "MpiApplication",
-    "AppStats",
-    "NasSpec",
-    "nas_spec",
-    "nas_program",
-    "NAS_BENCHMARKS",
-    "LaunchMode",
-    "MpiJob",
-    "JobResult",
-    "HybridApplication",
-    "HybridStats",
-    "bulk_synchronous",
-    "irregular_bsp",
-    "parameter_sweep_batch",
-    "pipeline",
-    "stencil_with_checkpoints",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.spmd": ("Phase", "PhaseKind", "Program"),
+    "repro.apps.mpi": ("MpiApplication", "AppStats"),
+    "repro.apps.nas": ("NasSpec", "nas_spec", "nas_program", "NAS_BENCHMARKS"),
+    "repro.apps.mpiexec": ("LaunchMode", "MpiJob", "JobResult"),
+    "repro.apps.hybrid": ("HybridApplication", "HybridStats"),
+    "repro.apps.workloads": (
+        "bulk_synchronous", "irregular_bsp", "parameter_sweep_batch",
+        "pipeline", "stencil_with_checkpoints",
+    ),
+})

@@ -12,52 +12,22 @@ cells into the cache/journal/supervisor/provenance fabric
 (:mod:`repro.batch.campaign`).
 """
 
-from repro.batch.campaign import (
-    BatchCampaignResult,
-    build_batch_specs,
-    run_batch_campaign,
-)
-from repro.batch.dispatcher import (
-    BSLD_TAU_US,
-    BatchDispatcher,
-    BatchResult,
-    JobOutcome,
-    simulate_batch,
-    validate_batch_fault_plan,
-)
-from repro.batch.policies import (
-    BATCH_POLICIES,
-    BatchPolicy,
-    EasyPolicy,
-    FcfsPolicy,
-    PriorityPolicy,
-    SharePolicy,
-    make_policy,
-)
-from repro.batch.runtime import RUNTIME_MODELS, base_runtime_us, clear_runtime_memo
-from repro.batch.workload import BatchJob, WorkloadConfig, generate_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BATCH_POLICIES",
-    "BSLD_TAU_US",
-    "BatchCampaignResult",
-    "BatchDispatcher",
-    "BatchJob",
-    "BatchPolicy",
-    "BatchResult",
-    "EasyPolicy",
-    "FcfsPolicy",
-    "JobOutcome",
-    "PriorityPolicy",
-    "RUNTIME_MODELS",
-    "SharePolicy",
-    "WorkloadConfig",
-    "base_runtime_us",
-    "build_batch_specs",
-    "clear_runtime_memo",
-    "generate_trace",
-    "make_policy",
-    "run_batch_campaign",
-    "simulate_batch",
-    "validate_batch_fault_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.batch.campaign": (
+        "BatchCampaignResult", "build_batch_specs", "run_batch_campaign",
+    ),
+    "repro.batch.dispatcher": (
+        "BSLD_TAU_US", "BatchDispatcher", "BatchResult", "JobOutcome",
+        "simulate_batch", "validate_batch_fault_plan",
+    ),
+    "repro.batch.policies": (
+        "BATCH_POLICIES", "BatchPolicy", "EasyPolicy", "FcfsPolicy",
+        "PriorityPolicy", "SharePolicy", "make_policy",
+    ),
+    "repro.batch.runtime": (
+        "RUNTIME_MODELS", "base_runtime_us", "clear_runtime_memo",
+    ),
+    "repro.batch.workload": ("BatchJob", "WorkloadConfig", "generate_trace"),
+})

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.batch.dispatcher import BatchResult, simulate_batch
+from repro.batch.runtime import scratch_pricing_store
 from repro.batch.workload import WorkloadConfig, generate_trace
 
 __all__ = [
@@ -260,13 +261,16 @@ def run_batch_campaign(
     With *use_cache* and the sim runtime model, job prices are also
     persisted in the cache root's ``pricing/`` store, which every worker
     reads and writes, so each job shape is simulated once per cache (and
-    model source) rather than once per worker process.  Prices are pure
-    functions of the shape, so results are identical either way; the
-    result cache's hit/miss accounting never sees them.
+    model source) rather than once per worker process.  A pooled
+    (``n_jobs > 1``) sim campaign without the cache shares the process's
+    :func:`~repro.batch.runtime.scratch_pricing_store` the same way; a
+    serial one keeps prices in memory only.  Prices are pure functions of
+    the shape, so results are identical either way; the result cache's
+    hit/miss accounting never sees them.
     """
     from repro.obs.provenance import batch_run_record
     from repro.parallel.cache import PRICING_DIR, cache_root
-    from repro.parallel.engine import run_specs
+    from repro.parallel.engine import resolve_jobs, run_specs
 
     specs = build_batch_specs(
         policy,
@@ -284,11 +288,14 @@ def run_batch_campaign(
     )
     bench = label or f"batch-{policy}"
     execute = _execute_batch_spec
-    if use_cache and runtime_model == "sim":
-        execute = functools.partial(
-            _execute_batch_spec,
-            pricing_store=str(cache_root(cache_dir) / PRICING_DIR),
-        )
+    if runtime_model == "sim":
+        store = None
+        if use_cache:
+            store = str(cache_root(cache_dir) / PRICING_DIR)
+        elif resolve_jobs(run_opts.get("n_jobs", 1)) > 1:
+            store = scratch_pricing_store()
+        if store is not None:
+            execute = functools.partial(_execute_batch_spec, pricing_store=store)
 
     def to_record(record) -> Dict[str, object]:
         return batch_run_record(

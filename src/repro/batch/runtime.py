@@ -28,19 +28,27 @@ when a campaign passes a *pricing store* (the ``pricing/`` directory of its
 result-cache root), one plain-text integer per shape on disk, keyed by the
 shape digest and :func:`~repro.parallel.jobspec.model_epoch`, so every
 campaign and every pool worker sharing the cache simulates each shape once
-per model source.
+per model source.  A pooled campaign without a result cache gets the same
+tier from :func:`scratch_pricing_store`, a throwaway directory private to
+the command's process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.batch.workload import BatchJob
 from repro.sim.rng import RngStreams
 
-__all__ = ["RUNTIME_MODELS", "base_runtime_us", "clear_runtime_memo"]
+__all__ = [
+    "RUNTIME_MODELS",
+    "base_runtime_us",
+    "clear_runtime_memo",
+    "scratch_pricing_store",
+]
 
 #: Accepted runtime-model names.
 RUNTIME_MODELS = ("sim", "analytic")
@@ -67,10 +75,43 @@ _ANALYTIC_OVERHEAD: Dict[str, tuple] = {
 _PRICE_MEMO: Dict[object, int] = {}
 _PRICE_MEMO_CAP = 4096
 
+#: The process's scratch pricing store, ``(owning pid, directory)``.
+_SCRATCH_STORE: Optional[Tuple[int, str]] = None
+
 
 def clear_runtime_memo() -> None:
-    """Drop the in-process price memo (tests; bounded anyway)."""
+    """Drop the in-process price memo and the scratch pricing store
+    (tests; both are bounded anyway)."""
+    global _SCRATCH_STORE
     _PRICE_MEMO.clear()
+    if _SCRATCH_STORE is not None:
+        _remove_scratch_store(*_SCRATCH_STORE)
+        _SCRATCH_STORE = None
+
+
+def scratch_pricing_store() -> str:
+    """The pricing-store directory of pooled campaigns that have no result
+    cache: made with ``tempfile.mkdtemp`` on first use, shared by every
+    later such campaign of this process, removed at exit.  Pool workers
+    each keep their own price memo, so without a shared store every worker
+    would simulate each job shape itself."""
+    global _SCRATCH_STORE
+    if _SCRATCH_STORE is None or _SCRATCH_STORE[0] != os.getpid():
+        import atexit
+        import tempfile
+
+        _SCRATCH_STORE = (os.getpid(), tempfile.mkdtemp(prefix="repro-pricing-"))
+        atexit.register(_remove_scratch_store, *_SCRATCH_STORE)
+    return _SCRATCH_STORE[1]
+
+
+def _remove_scratch_store(owner: int, path: str) -> None:
+    """Remove the scratch store at *path*, but only from its *owner* pid:
+    a forked worker inherits the record, not the directory."""
+    if os.getpid() == owner:
+        import shutil
+
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def _memo_get(key) -> Optional[int]:

@@ -47,8 +47,6 @@ import sys
 from functools import partial
 from typing import List, Optional
 
-from repro.analysis.stats import summarize
-
 __all__ = ["main", "build_parser"]
 
 
@@ -767,6 +765,8 @@ def _run_campaign_command(args: argparse.Namespace, launch, header, body) -> int
 
 def _print_times(campaign) -> None:
     """The ``time`` line of a campaign summary: app-time min/avg/max/var."""
+    from repro.analysis.stats import summarize
+
     times = summarize(campaign.app_times_s())
     print(f"  time  min {times.minimum:.2f}  avg {times.mean:.2f}  "
           f"max {times.maximum:.2f}  var {times.variation:.2f}%")
@@ -782,6 +782,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
 
     def body(campaign) -> None:
+        from repro.analysis.stats import summarize
+
         migs = summarize([float(v) for v in campaign.migrations()], metric="count")
         switches = summarize([float(v) for v in campaign.context_switches()], metric="count")
         _print_times(campaign)
@@ -1166,6 +1168,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
 
     def body(campaign) -> None:
+        from repro.analysis.stats import summarize
+
         # waits legitimately bottom out at 0 (a job that starts the instant
         # it is submitted), so use the counter variation semantics
         waits = summarize([w / 1000 for w in campaign.mean_waits_us()],

@@ -14,34 +14,18 @@ delays into cluster-scale predictions:
   of time spent in synchronization", §III).
 """
 
-from repro.cluster.amdahl import amdahl_speedup, efficiency, serial_fraction_from_speedup
-from repro.cluster.multinode import (
-    ClusterIncompleteError,
-    ClusterJob,
-    ClusterResult,
-    run_cluster_job,
-)
-from repro.cluster.resonance import (
-    DelayProfile,
-    ResonancePoint,
-    analytic_resonance,
-    measure_phase_delays,
-    resonance_curve,
-    spare_core_comparison,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "amdahl_speedup",
-    "efficiency",
-    "serial_fraction_from_speedup",
-    "DelayProfile",
-    "ResonancePoint",
-    "analytic_resonance",
-    "measure_phase_delays",
-    "resonance_curve",
-    "spare_core_comparison",
-    "ClusterIncompleteError",
-    "ClusterJob",
-    "ClusterResult",
-    "run_cluster_job",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.amdahl": (
+        "amdahl_speedup", "efficiency", "serial_fraction_from_speedup",
+    ),
+    "repro.cluster.multinode": (
+        "ClusterIncompleteError", "ClusterJob", "ClusterResult",
+        "run_cluster_job",
+    ),
+    "repro.cluster.resonance": (
+        "DelayProfile", "ResonancePoint", "analytic_resonance",
+        "measure_phase_delays", "resonance_curve", "spare_core_comparison",
+    ),
+})

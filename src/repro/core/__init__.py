@@ -22,8 +22,10 @@ User-facing activation mirrors the paper: tasks enter the HPC class through
 ``chrt`` wrapper (:func:`repro.core.chrt.chrt_exec`).
 """
 
-from repro.core.hpl_class import HplClass, HplParams, HplQueue
-from repro.core.hpl_balancer import HplForkPlacer
-from repro.core.chrt import chrt_exec
+from repro._lazy import lazy_exports
 
-__all__ = ["HplClass", "HplParams", "HplQueue", "HplForkPlacer", "chrt_exec"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.hpl_class": ("HplClass", "HplParams", "HplQueue"),
+    "repro.core.hpl_balancer": ("HplForkPlacer",),
+    "repro.core.chrt": ("chrt_exec",),
+})

@@ -18,20 +18,13 @@ detection) live in the kernel and app layers; this package only decides
 what breaks, and when.
 """
 
-from repro.faults.injector import AppliedFault, FaultInjector
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.tolerance import ClusterTolerance, FaultTolerance
-from repro.faults.watchdog import StarvationIncident, StarvationWatchdog, WatchdogConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AppliedFault",
-    "ClusterTolerance",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultTolerance",
-    "StarvationIncident",
-    "StarvationWatchdog",
-    "WatchdogConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.injector": ("AppliedFault", "FaultInjector"),
+    "repro.faults.plan": ("FaultEvent", "FaultKind", "FaultPlan"),
+    "repro.faults.tolerance": ("ClusterTolerance", "FaultTolerance"),
+    "repro.faults.watchdog": (
+        "StarvationIncident", "StarvationWatchdog", "WatchdogConfig",
+    ),
+})

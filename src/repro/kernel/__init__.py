@@ -20,34 +20,19 @@ HPL task scheduler as a new Scheduler Class between the standard Real-Time
 and CFS Linux classes".
 """
 
-from repro.kernel.task import Task, TaskState, SchedPolicy
-from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.invariants import (
-    InvariantViolation,
-    SchedInvariantChecker,
-    attach_sanitizer,
-    sanitizer_enabled,
-)
-from repro.kernel.irq import TimerInterruptParams, TimerInterrupts
-from repro.kernel.power import EnergyMeter, PowerParams
-from repro.kernel.proc import consistency_check, render_ps, render_schedstat, render_task_sched
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Task",
-    "TaskState",
-    "SchedPolicy",
-    "Kernel",
-    "KernelConfig",
-    "InvariantViolation",
-    "SchedInvariantChecker",
-    "attach_sanitizer",
-    "sanitizer_enabled",
-    "TimerInterruptParams",
-    "TimerInterrupts",
-    "EnergyMeter",
-    "PowerParams",
-    "consistency_check",
-    "render_ps",
-    "render_schedstat",
-    "render_task_sched",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernel.task": ("Task", "TaskState", "SchedPolicy"),
+    "repro.kernel.kernel": ("Kernel", "KernelConfig"),
+    "repro.kernel.invariants": (
+        "InvariantViolation", "SchedInvariantChecker", "attach_sanitizer",
+        "sanitizer_enabled",
+    ),
+    "repro.kernel.irq": ("TimerInterruptParams", "TimerInterrupts"),
+    "repro.kernel.power": ("EnergyMeter", "PowerParams"),
+    "repro.kernel.proc": (
+        "consistency_check", "render_ps", "render_schedstat",
+        "render_task_sched",
+    ),
+})

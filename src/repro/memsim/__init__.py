@@ -10,14 +10,9 @@ full speed until the cache rewarms" (§III).
 with a scalar per-task *warmth* state.
 """
 
-from repro.memsim.warmth import WarmthModel, WarmthParams, TaskWarmth
-from repro.memsim.tlb import TlbModel, TlbParams, TlbAssessment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WarmthModel",
-    "WarmthParams",
-    "TaskWarmth",
-    "TlbModel",
-    "TlbParams",
-    "TlbAssessment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memsim.warmth": ("WarmthModel", "WarmthParams", "TaskWarmth"),
+    "repro.memsim.tlb": ("TlbModel", "TlbParams", "TlbAssessment"),
+})

@@ -31,74 +31,31 @@ simulation randomness or changes event timing, so observed and unobserved
 runs of the same seed are identical.
 """
 
-from repro.obs.latency import LatencyAccounting, LatencySummary, TaskLatency
-from repro.obs.export import (
-    trace_to_chrome,
-    trace_to_ftrace,
-    write_chrome_trace,
-    write_ftrace,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    SimProfiler,
-    render_sim_profile,
-)
-from repro.obs.observer import KernelObserver, observe
-from repro.obs.replay import (
-    ReplayedTrace,
-    gantt_svg,
-    load_trace,
-    replay_chrome,
-    replay_ftrace,
-    write_gantt_svg,
-)
-from repro.obs.telemetry import (
-    CampaignTelemetry,
-    ProgressLine,
-    TelemetrySummary,
-    read_telemetry,
-    render_top,
-    summarize_telemetry,
-)
-from repro.obs.provenance import (
-    PROVENANCE_SCHEMA_VERSION,
-    campaign_record,
-    config_digest,
-    read_records,
-    run_record,
-)
-from repro.obs.stat import render_latency_table, render_stat
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LatencyAccounting",
-    "LatencySummary",
-    "TaskLatency",
-    "KernelObserver",
-    "observe",
-    "campaign_record",
-    "trace_to_chrome",
-    "trace_to_ftrace",
-    "write_chrome_trace",
-    "write_ftrace",
-    "render_stat",
-    "render_latency_table",
-    "PROVENANCE_SCHEMA_VERSION",
-    "config_digest",
-    "run_record",
-    "read_records",
-    "MetricsRegistry",
-    "SimProfiler",
-    "render_sim_profile",
-    "CampaignTelemetry",
-    "ProgressLine",
-    "TelemetrySummary",
-    "read_telemetry",
-    "render_top",
-    "summarize_telemetry",
-    "ReplayedTrace",
-    "gantt_svg",
-    "load_trace",
-    "replay_chrome",
-    "replay_ftrace",
-    "write_gantt_svg",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.latency": (
+        "LatencyAccounting", "LatencySummary", "TaskLatency",
+    ),
+    "repro.obs.export": (
+        "trace_to_chrome", "trace_to_ftrace", "write_chrome_trace",
+        "write_ftrace",
+    ),
+    "repro.obs.metrics": (
+        "MetricsRegistry", "SimProfiler", "render_sim_profile",
+    ),
+    "repro.obs.observer": ("KernelObserver", "observe"),
+    "repro.obs.replay": (
+        "ReplayedTrace", "gantt_svg", "load_trace", "replay_chrome",
+        "replay_ftrace", "write_gantt_svg",
+    ),
+    "repro.obs.telemetry": (
+        "CampaignTelemetry", "ProgressLine", "TelemetrySummary",
+        "read_telemetry", "render_top", "summarize_telemetry",
+    ),
+    "repro.obs.provenance": (
+        "PROVENANCE_SCHEMA_VERSION", "campaign_record", "config_digest",
+        "read_records", "run_record",
+    ),
+    "repro.obs.stat": ("render_latency_table", "render_stat"),
+})

@@ -20,72 +20,25 @@ enforced by ``tests/test_parallel_engine.py`` and by the CI determinism
 gate, not merely promised here.
 """
 
-from repro.parallel.cache import (
-    CACHE_ENV_VAR,
-    DEFAULT_CACHE_DIR,
-    QUARANTINE_DIR,
-    CacheInfo,
-    ResultCache,
-)
-from repro.parallel.engine import (
-    CampaignRunError,
-    RunRecord,
-    WorkerPoolError,
-    resolve_jobs,
-    run_specs,
-)
-from repro.parallel.jobspec import (
-    BatchRunSpec,
-    ClusterRunSpec,
-    RunSpec,
-    machine_fingerprint,
-    stable_digest,
-)
-from repro.parallel.supervisor import (
-    AttemptFailure,
-    CampaignJournal,
-    NoJournalError,
-    RetryPolicy,
-    RunHole,
-    RunTimeoutError,
-    SupervisedResult,
-    SupervisorConfig,
-    backoff_delay,
-    backoff_schedule,
-    campaign_digest,
-    classify_failure,
-    journal_path_for,
-    supervise_campaign,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttemptFailure",
-    "BatchRunSpec",
-    "CACHE_ENV_VAR",
-    "CampaignJournal",
-    "CampaignRunError",
-    "CacheInfo",
-    "ClusterRunSpec",
-    "DEFAULT_CACHE_DIR",
-    "NoJournalError",
-    "QUARANTINE_DIR",
-    "ResultCache",
-    "RetryPolicy",
-    "RunHole",
-    "RunRecord",
-    "RunSpec",
-    "RunTimeoutError",
-    "SupervisedResult",
-    "SupervisorConfig",
-    "WorkerPoolError",
-    "backoff_delay",
-    "backoff_schedule",
-    "campaign_digest",
-    "classify_failure",
-    "journal_path_for",
-    "machine_fingerprint",
-    "resolve_jobs",
-    "run_specs",
-    "stable_digest",
-    "supervise_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.parallel.cache": (
+        "CACHE_ENV_VAR", "DEFAULT_CACHE_DIR", "QUARANTINE_DIR", "CacheInfo",
+        "ResultCache",
+    ),
+    "repro.parallel.engine": (
+        "CampaignRunError", "RunRecord", "WorkerPoolError", "resolve_jobs",
+        "run_specs",
+    ),
+    "repro.parallel.jobspec": (
+        "BatchRunSpec", "ClusterRunSpec", "RunSpec", "machine_fingerprint",
+        "stable_digest",
+    ),
+    "repro.parallel.supervisor": (
+        "AttemptFailure", "CampaignJournal", "NoJournalError", "RetryPolicy",
+        "RunHole", "RunTimeoutError", "SupervisedResult", "SupervisorConfig",
+        "backoff_delay", "backoff_schedule", "campaign_digest",
+        "classify_failure", "journal_path_for", "supervise_campaign",
+    ),
+})

@@ -29,13 +29,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.apps.spmd import Phase, Program
-from repro.faults import ClusterTolerance, FaultPlan, FaultTolerance
-from repro.kernel.daemons import NoiseProfile
-from repro.kernel.kernel import KernelConfig
 from repro.topology.machine import Machine
 
-if TYPE_CHECKING:  # annotation only: parallel stays import-independent of batch
+if TYPE_CHECKING:
+    # Annotation only: naming a spec must not load the node layer (a batch
+    # spec's digest never touches a kernel), and parallel stays
+    # import-independent of batch.
     from repro.batch.workload import WorkloadConfig
+    from repro.faults import ClusterTolerance, FaultPlan, FaultTolerance
+    from repro.kernel.daemons import NoiseProfile
+    from repro.kernel.kernel import KernelConfig
 
 __all__ = [
     "BatchRunSpec",

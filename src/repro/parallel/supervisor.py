@@ -62,17 +62,11 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.parallel.cache import ResultCache
 from repro.parallel.engine import (
@@ -84,6 +78,9 @@ from repro.parallel.engine import (
     resolve_jobs,
 )
 from repro.parallel.jobspec import RunSpec, model_epoch, stable_digest
+
+if TYPE_CHECKING:  # imported where a pool is built: serial runs never load it
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -574,6 +571,8 @@ def _campaign_pool(jobs: int) -> ProcessPoolExecutor:
     global _pool, _pool_key
     key = (jobs, os.getpid(), tuple(sorted(os.environ.items())))
     if _pool is None or _pool_key != key:
+        from concurrent.futures import ProcessPoolExecutor
+
         _drop_pool()
         _pool = ProcessPoolExecutor(
             max_workers=jobs,

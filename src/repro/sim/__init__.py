@@ -11,18 +11,13 @@ This package provides the three primitives everything else is built on:
   borrowed from classic simulation practice).
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
-from repro.sim.rng import RngStreams
-from repro.sim.trace import SchedTrace, TraceEvent, TraceKind, attach_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "EventQueue",
-    "RngStreams",
-    "SchedTrace",
-    "TraceEvent",
-    "TraceKind",
-    "attach_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Simulator",),
+    "repro.sim.events": ("Event", "EventQueue"),
+    "repro.sim.rng": ("RngStreams",),
+    "repro.sim.trace": (
+        "SchedTrace", "TraceEvent", "TraceKind", "attach_trace",
+    ),
+})

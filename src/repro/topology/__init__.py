@@ -11,33 +11,15 @@ The evaluation machine is the IBM *js22* blade: see
 :func:`repro.topology.presets.power6_js22`.
 """
 
-from repro.topology.cache import CacheLevel, CacheHierarchy
-from repro.topology.machine import Machine, Chip, Core, HWThread
-from repro.topology.domains import SchedDomain, DomainLevel, build_domains
-from repro.topology.presets import (
-    power6_js22,
-    power6_single_chip,
-    generic_smp,
-    xeon_dual_socket,
-    bluegene_node,
-)
-from repro.topology.spec import machine_spec, parse_machine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheLevel",
-    "CacheHierarchy",
-    "Machine",
-    "Chip",
-    "Core",
-    "HWThread",
-    "SchedDomain",
-    "DomainLevel",
-    "build_domains",
-    "power6_js22",
-    "power6_single_chip",
-    "generic_smp",
-    "xeon_dual_socket",
-    "bluegene_node",
-    "machine_spec",
-    "parse_machine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.cache": ("CacheLevel", "CacheHierarchy"),
+    "repro.topology.machine": ("Machine", "Chip", "Core", "HWThread"),
+    "repro.topology.domains": ("SchedDomain", "DomainLevel", "build_domains"),
+    "repro.topology.presets": (
+        "power6_js22", "power6_single_chip", "generic_smp", "xeon_dual_socket",
+        "bluegene_node",
+    ),
+    "repro.topology.spec": ("machine_spec", "parse_machine"),
+})

@@ -139,6 +139,23 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "False"
 
 
+def test_cli_help_loads_no_numpy():
+    # numpy costs ~0.16 s to import; the parser, --help and argument
+    # errors need none of it, nor any repro module beyond the CLI's own.
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from repro.cli import main\n"
+         "with contextlib.suppress(SystemExit), "
+         "contextlib.redirect_stdout(io.StringIO()):\n"
+         "    main(['--help'])\n"
+         "print('numpy' in sys.modules,"
+         " *sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    assert out.split() == ["False", "repro", "repro._lazy", "repro.cli"]
+
+
 def test_correlation_validation():
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])

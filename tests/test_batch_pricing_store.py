@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -253,3 +254,81 @@ def test_model_source_change_moves_the_epoch_and_misses(tmp_path):
     epoch_b, sims = lookup("b")
     assert epoch_b != epoch_a
     assert sims == 1                      # other model source: a miss
+
+
+# ------------------------------------------------ (e) uncached scratch store
+
+#: The two-level experiment's eight sim-priced campaigns without the cache,
+#: every node-level simulation logged with its pid.  argv: log file,
+#: provenance directory, n_jobs.  Prints the scratch store's path.
+_UNCACHED_TWO_LEVEL = """
+import os, sys
+import repro.cluster.multinode as multinode
+from repro.batch import WorkloadConfig, run_batch_campaign, runtime
+from repro.experiments.twolevel import TWO_LEVEL_POLICIES
+
+log, prov, n_jobs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+real = multinode.run_cluster_job
+
+def counted(*args, **kwargs):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return real(*args, **kwargs)
+
+multinode.run_cluster_job = counted
+workload = WorkloadConfig(n_jobs=12, interarrival_us=3_000, max_nodes=3)
+for policy in TWO_LEVEL_POLICIES:
+    for regime in ("stock", "hpl"):
+        run_batch_campaign(
+            policy, 4, regime, 3, workload=workload, n_jobs=n_jobs,
+            label=f"two-level-{policy}",
+            provenance_path=os.path.join(prov, f"{policy}-{regime}.jsonl"),
+        )
+print(runtime._SCRATCH_STORE[1] if runtime._SCRATCH_STORE else "")
+"""
+
+
+def _uncached_two_level(tmp_path, n_jobs):
+    """Per-pid simulation counts, provenance bytes and the scratch store
+    path of one fresh-process run of :data:`_UNCACHED_TWO_LEVEL`."""
+    root = Path(__file__).resolve().parents[1]
+    work, tmp, prov = (tmp_path / f"{part}{n_jobs}"
+                       for part in ("work", "tmp", "prov"))
+    for path in (work, tmp, prov):
+        path.mkdir()
+    log = tmp_path / f"sims{n_jobs}.log"
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
+    env.update(PYTHONPATH=str(root / "src"), TMPDIR=str(tmp))
+    store = subprocess.run(
+        [sys.executable, "-c", _UNCACHED_TWO_LEVEL, str(log), str(prov),
+         str(n_jobs)],
+        cwd=work, env=env, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    pids = log.read_text().split()
+    counts = sorted(pids.count(pid) for pid in set(pids))
+    provenance = {p.name: p.read_bytes() for p in sorted(prov.glob("*.jsonl"))}
+    assert not (work / ".repro-cache").exists()
+    assert not any(tmp.iterdir())  # the scratch store left with its process
+    return counts, provenance, store
+
+
+def test_pooled_uncached_campaigns_price_each_shape_once(tmp_path):
+    serial_counts, serial_prov, serial_store = _uncached_two_level(tmp_path, 1)
+    pooled_counts, pooled_prov, pooled_store = _uncached_two_level(tmp_path, 2)
+    assert serial_counts == [72] and serial_store == ""
+    # Between them the workers simulate each shape once, as serially.
+    assert sum(pooled_counts) == 72
+    assert pooled_store.startswith(str(tmp_path / "tmp2"))
+    assert pooled_prov == serial_prov and len(serial_prov) == 8
+
+
+def test_scratch_store_is_shared_until_cleared(tmp_path, monkeypatch):
+    from repro.batch import runtime
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    store = runtime.scratch_pricing_store()
+    assert runtime.scratch_pricing_store() == store
+    assert Path(store).is_dir() and Path(store).parent == tmp_path
+    clear_runtime_memo()
+    assert not Path(store).exists()
+    assert runtime.scratch_pricing_store() != store

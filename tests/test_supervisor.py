@@ -176,9 +176,8 @@ def test_serial_campaigns_never_build_a_process_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a serial campaign built a process pool")
 
-    monkeypatch.setattr(
-        "repro.parallel.supervisor.ProcessPoolExecutor", no_pool
-    )
+    # The supervisor imports the pool class where it builds a pool.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     specs = _specs(4, base_seed=29)
     calls = {"n": 0}
 

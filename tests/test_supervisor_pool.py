@@ -9,6 +9,7 @@ processes share no memory with the test.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import signal
 import subprocess
@@ -339,13 +340,14 @@ def built(monkeypatch):
     from a process without one."""
     supervisor._drop_pool()
     pools = []
-    real = supervisor.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def counting(*args, **kwargs):
         pools.append(real(*args, **kwargs))
         return pools[-1]
 
-    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", counting)
+    # The supervisor imports the pool class where it builds a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
     return pools
 
 
