@@ -37,7 +37,8 @@ test-batch:
 	$(PY) -m pytest tests/test_batch_workload.py tests/test_batch_policies.py \
 		tests/test_batch_campaign.py tests/test_properties_batch.py \
 		tests/test_cli_batch.py tests/test_batch_oracle.py \
-		tests/test_batch_sanitizer.py tests/test_batch_pricing_store.py
+		tests/test_batch_sanitizer.py tests/test_batch_pricing_store.py \
+		tests/test_batch_rational.py tests/test_batch_exact_clocks.py
 	REPRO_SANITIZE=1 $(PY) -m pytest tests/test_batch_faults.py
 
 # Fault-aware batch scheduling: node failure/drain/requeue schedules, the

@@ -7,12 +7,13 @@ policy who starts next after every arrival, every completion — and, when a
 :class:`~repro.faults.plan.FaultPlan` is armed, every pool fault.
 
 Determinism is the load-bearing wall.  All clocks are exact rationals: a
-plain ``int`` while integral, a :class:`fractions.Fraction` only where
-processor sharing divides (the work a shared job still owes is
-``(finish_at - now) / load``).  Every stored time and amount goes through
-:func:`_exact`, which turns a Fraction with denominator 1 back into its
-``int``, so fcfs, easy and priority never build a Fraction, and sharing
-rates (1/2, 1/3, ...) never accumulate float error.  Event ordering is a
+plain ``int`` while integral, a dispatcher-private :class:`_Rational` only
+where processor sharing divides (the work a shared job still owes is
+``(finish_at - now) / load``).  :func:`_rational` is the only place one is
+made and returns the ``int`` for an integral value, so every stored time
+and amount is canonical without a normalizing pass, fcfs, easy and
+priority never build a rational, and sharing rates (1/2, 1/3, ...) never
+accumulate float error.  Event ordering is a
 total order on ``(time, kind, sequence)``; node selection is
 lowest-id-first.  A schedule is therefore a pure function of ``(trace,
 pool, policy, runtime model, fault plan)`` and
@@ -49,9 +50,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from math import gcd
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -91,17 +93,119 @@ _DOWN = "down"
 PLACEMENTS = ("lowest", "wary")
 
 
+class _Rational:
+    """A non-integral exact rational ``n/d``, dispatcher-private.
+
+    Always in lowest terms with ``d > 1``: :func:`_rational` is the only
+    place one is made, and it returns a plain ``int`` for an integral
+    value, so every operation below yields canonical form.  It computes
+    ``+``, ``-`` and ``*`` against ``int`` and itself, compares with both
+    in either operand order, and converts with ``float()`` exactly as
+    :class:`fractions.Fraction` does — without the numeric-tower checks
+    that make each Fraction operation cost microseconds.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _rational(self.n + other * self.d, self.d)
+        if type(other) is _Rational:
+            return _rational(self.n * other.d + other.n * self.d,
+                             self.d * other.d)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return _rational(self.n - other * self.d, self.d)
+        if type(other) is _Rational:
+            return _rational(self.n * other.d - other.n * self.d,
+                             self.d * other.d)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return _rational(other * self.d - self.n, self.d)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _rational(self.n * other, self.d)
+        if type(other) is _Rational:
+            return _rational(self.n * other.n, self.d * other.d)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    # Canonical form makes equality structural, and an int never equals a
+    # non-integral value.  Reflected comparisons (int < q) reach the
+    # mirrored method (q > int) through Python's operator fallback.
+    def __eq__(self, other):
+        if type(other) is _Rational:
+            return self.n == other.n and self.d == other.d
+        if type(other) is int:
+            return False
+        return NotImplemented
+
+    def __lt__(self, other):
+        if type(other) is int:
+            return self.n < other * self.d
+        if type(other) is _Rational:
+            return self.n * other.d < other.n * self.d
+        return NotImplemented
+
+    def __le__(self, other):
+        if type(other) is int:
+            return self.n <= other * self.d
+        if type(other) is _Rational:
+            return self.n * other.d <= other.n * self.d
+        return NotImplemented
+
+    def __gt__(self, other):
+        if type(other) is int:
+            return self.n > other * self.d
+        if type(other) is _Rational:
+            return self.n * other.d > other.n * self.d
+        return NotImplemented
+
+    def __ge__(self, other):
+        if type(other) is int:
+            return self.n >= other * self.d
+        if type(other) is _Rational:
+            return self.n * other.d >= other.n * self.d
+        return NotImplemented
+
+    def __float__(self):
+        # Correctly rounded int true division, as Fraction.__float__.
+        return self.n / self.d
+
+    def __repr__(self):
+        return f"{self.n}/{self.d}"
+
+
+def _rational(n: int, d: int) -> Exact:
+    """``n/d`` for ``d > 0`` in canonical form: the ``int`` when integral,
+    else a :class:`_Rational` in lowest terms.  The only constructor."""
+    g = gcd(n, d)
+    if g == d:
+        return n // d
+    q = object.__new__(_Rational)
+    q.n = n // g
+    q.d = d // g
+    return q
+
+
 #: An exact dispatcher time or amount, µs: ``int`` unless sharing divided it.
-Exact = Union[int, Fraction]
+Exact = Union[int, _Rational]
 
 
-def _exact(value: Exact) -> Exact:
-    """*value* in canonical form: an integral Fraction becomes its ``int``
-    (equal, and every result derived from it is byte-identical), anything
-    else is returned as is."""
-    if type(value) is Fraction and value.denominator == 1:
-        return value.numerator
-    return value
+def _divide(value: Exact, load: int) -> Exact:
+    """``value / load`` exactly (``load >= 1``)."""
+    if type(value) is int:
+        return _rational(value, load)
+    return _rational(value.n, value.d * load)
 
 
 def validate_batch_fault_plan(plan: FaultPlan, pool_nodes: int) -> None:
@@ -146,8 +250,8 @@ class _Running:
         #: only when its load changes, so the work it still owes is always
         #: (finish_at - now) / load — settled where it is read, never per
         #: event.
-        self.finish_at = _exact(start + (min(demand, limit)
-                                         if limit is not None else demand))
+        self.finish_at = start + (min(demand, limit)
+                                  if limit is not None else demand)
         #: Worst residency across the job's nodes (shared jobs only).
         self.load = 1
         self.version = 0
@@ -291,10 +395,14 @@ class BatchDispatcher:
       job_id)``, for EASY's shadow walk;
     * ``_free`` — free up-nodes, sorted; and ``_on_node`` — node ->
       ``{job_id: running job}``, which answers evictions, node returns,
-      occupancy and lost capacity without a scan of ``running``.
+      occupancy and lost capacity without a scan of ``running``;
+    * ``_residency`` — each node's resident count, which orders
+      ``least_loaded_nodes`` and gives ``_reprice`` its loads.
 
     Under ``REPRO_SANITIZE=1`` every event ends with an audit of these
-    indexes against the ground truth they summarize.
+    indexes against the ground truth they summarize, of every stored clock
+    for canonical form, and of each running rigid job's version against
+    its finish event.
     """
 
     def __init__(
@@ -364,6 +472,7 @@ class BatchDispatcher:
         self._on_node: List[Dict[int, _Running]] = [
             {} for _ in range(pool_nodes)
         ]
+        self._residency: List[int] = [0] * pool_nodes  # len(_on_node[n])
         self._occupied = 0  # nodes with at least one resident
         self._node_state: List[str] = [_UP] * pool_nodes
         self._node_failures: List[int] = [0] * pool_nodes
@@ -406,17 +515,18 @@ class BatchDispatcher:
         return len(self._free)
 
     def residents_on(self, node: int) -> int:
-        return len(self._on_node[node])
+        return self._residency[node]
 
     def least_loaded_nodes(self, k: int) -> Tuple[int, ...]:
         """Up to *k* in-service nodes with fewest residents (ties: lowest
-        id).  May return fewer than *k* while nodes are failed/draining —
-        the share policy must check the width before placing."""
-        on_node = self._on_node
+        id), in ascending residency, so the last is the most loaded.  May
+        return fewer than *k* while nodes are failed/draining — the share
+        policy must check the width before placing."""
+        state = self._node_state
+        # A stable sort of ascending ids by residency breaks ties by id.
         order = sorted(
-            (n for n in range(self.pool_nodes)
-             if self._node_state[n] == _UP),
-            key=lambda n: (len(on_node[n]), n),
+            [n for n in range(self.pool_nodes) if state[n] == _UP],
+            key=self._residency.__getitem__,
         )
         return tuple(order[:k])
 
@@ -481,11 +591,14 @@ class BatchDispatcher:
         """Move a just-started job from the queue onto its nodes."""
         jid = rj.job.job_id
         self.running[jid] = rj
+        on_node = self._on_node
+        residency = self._residency
         for n in rj.nodes:
-            residents = self._on_node[n]
+            residents = on_node[n]
             if not residents:
                 self._occupied += 1
             residents[jid] = rj
+            residency[n] += 1
         self._dequeue(rj.job)
         self._starts[jid] = self.now
         self._first_start.setdefault(jid, self.now)
@@ -496,9 +609,12 @@ class BatchDispatcher:
         repriced by the caller."""
         jid = rj.job.job_id
         del self.running[jid]
+        on_node = self._on_node
+        residency = self._residency
         for n in rj.nodes:
-            residents = self._on_node[n]
+            residents = on_node[n]
             del residents[jid]
+            residency[n] -= 1
             if not residents:
                 self._occupied -= 1
         if rj.limit is not None:
@@ -518,7 +634,7 @@ class BatchDispatcher:
         cost = (self.restart_cost_us
                 if self._requeue_count.get(job.job_id, 0) else 0)
         demand = base - done + cost
-        return _exact(demand) if demand > 0 else 0
+        return demand if demand > 0 else 0
 
     # -- the queue and its indexes -----------------------------------------
 
@@ -609,11 +725,9 @@ class BatchDispatcher:
     def _advance(self, when: Exact) -> None:
         dt = when - self.now
         if dt > 0:
-            self._busy_node_time = _exact(self._busy_node_time
-                                          + self._occupied * dt)
+            self._busy_node_time += self._occupied * dt
             if self._armed and (self.running or self.queue):
-                self._node_lost_time = _exact(self._node_lost_time
-                                              + self._lost_nodes() * dt)
+                self._node_lost_time += self._lost_nodes() * dt
             self.now = when
 
     def _lost_nodes(self) -> int:
@@ -624,11 +738,11 @@ class BatchDispatcher:
 
     def _remaining(self, rj: _Running) -> Exact:
         """Work a shared job still owes at ``now``, settled from its
-        predicted finish — the one place sharing divides, hence the one
-        place a Fraction is born.  Exact arithmetic never takes it
-        negative; clamp anyway so a future inexact runtime model degrades
-        gracefully."""
-        left = Fraction(rj.finish_at - self.now, rj.load)
+        predicted finish — the one place sharing divides, hence where
+        every non-integral clock comes from.  Exact arithmetic never takes
+        it negative; clamp anyway so a future inexact runtime model
+        degrades gracefully."""
+        left = _divide(rj.finish_at - self.now, rj.load)
         return left if left > 0 else 0
 
     def _reprice(self, nodes) -> None:
@@ -637,16 +751,16 @@ class BatchDispatcher:
         nodes) changed gets a new finish_at: an unchanged load means an
         unchanged rate, so its prediction is already exact."""
         on_node = self._on_node
+        residency = self._residency.__getitem__
         seen = set()
         for n in nodes:
             for jid, rj in on_node[n].items():
                 if jid in seen:
                     continue
                 seen.add(jid)
-                load = max(len(on_node[m]) for m in rj.nodes)
+                load = max(map(residency, rj.nodes))
                 if load != rj.load:
-                    rj.finish_at = _exact(self.now
-                                          + self._remaining(rj) * load)
+                    rj.finish_at = self.now + self._remaining(rj) * load
                     rj.load = load
                     if load > rj.shared_peak:
                         rj.shared_peak = load
@@ -655,8 +769,9 @@ class BatchDispatcher:
     # -- sanitizer ---------------------------------------------------------
 
     def _audit(self, result: Optional[BatchResult] = None) -> None:
-        """Check every index against the ground truth it summarizes, and
-        every stored clock for canonical form (``REPRO_SANITIZE=1``); given
+        """Check every index against the ground truth it summarizes, every
+        stored clock for canonical form, and every running rigid job's
+        version against the event heap (``REPRO_SANITIZE=1``); given
         the finished *result* of a rigid policy, also check node
         conservation.  Raise :class:`InvariantViolation` on the first
         disagreement."""
@@ -677,11 +792,12 @@ class BatchDispatcher:
             ("held node time", self._held.values()),
         ):
             for value in values:
-                if not (type(value) is int or (type(value) is Fraction
-                                               and value.denominator != 1)):
+                if not (type(value) is int
+                        or (type(value) is _Rational and value.d > 1
+                            and gcd(value.n, value.d) == 1)):
                     fail("batch-canonical-clock",
                          f"{what} holds {value!r}: an integral clock must "
-                         f"be an int, any other a Fraction")
+                         f"be an int, any other a rational in lowest terms")
         if result is not None and self.policy.rigid:
             # Rigid jobs own their nodes outright, so the pool's busy
             # node time is exactly the sum of what the jobs held.  (Not so
@@ -698,6 +814,11 @@ class BatchDispatcher:
                 fail("batch-node-residents",
                      f"node {n} indexes {sorted(self._on_node[n])}, "
                      f"running jobs on it are {sorted(truth)}")
+        residency = [len(residents) for residents in self._on_node]
+        if self._residency != residency:
+            fail("batch-residency",
+                 f"residency counts {self._residency}, residents say "
+                 f"{residency}")
         occupied = sum(1 for residents in self._on_node if residents)
         if self._occupied != occupied:
             fail("batch-occupancy",
@@ -714,6 +835,31 @@ class BatchDispatcher:
             if self.releases != releases:
                 fail("batch-releases",
                      f"release index {self.releases} != {releases}")
+        # Each running rigid job's incarnation has a unique version and
+        # exactly one live finish event; an eviction leaves older ones.
+        finishes = Counter((entry[3], entry[4]) for entry in self._events
+                           if entry[1] == _EV_FINISH)
+        versions = set()
+        for jid, rj in self.running.items():
+            if rj.limit is None:
+                continue
+            if not 0 < rj.version <= self._vclock or rj.version in versions:
+                fail("batch-version",
+                     f"job {jid} runs as version {rj.version}: versions "
+                     f"must be unique and within 1..{self._vclock}")
+            versions.add(rj.version)
+            if finishes[jid, rj.version] != 1:
+                fail("batch-version",
+                     f"job {jid} version {rj.version} has "
+                     f"{finishes[jid, rj.version]} finish events queued, "
+                     f"not 1")
+        for jid, version in finishes:
+            live = self.running.get(jid)
+            newest = live.version if live is not None else self._vclock
+            if version > newest:
+                fail("batch-version",
+                     f"a finish event of job {jid} carries version "
+                     f"{version}, newer than {newest}")
         serials = [self._queued.get(job.job_id) for job in self.queue]
         if (serials != self._queue_serials
                 or len(self._queued) != len(self.queue)
@@ -795,12 +941,11 @@ class BatchDispatcher:
         if useful < 0:
             useful = 0
         done = completed + useful
-        self._completed[jid] = (_exact(done) if done < rj.base_runtime
+        self._completed[jid] = (done if done < rj.base_runtime
                                 else rj.base_runtime)
         wall = self.now - rj.start
-        self._wall[jid] = _exact(self._wall.get(jid, 0) + wall)
-        self._held[jid] = _exact(self._held.get(jid, 0)
-                                 + wall * len(rj.nodes))
+        self._wall[jid] = self._wall.get(jid, 0) + wall
+        self._held[jid] = self._held.get(jid, 0) + wall * len(rj.nodes)
         self._peak[jid] = max(self._peak.get(jid, 1), rj.shared_peak)
         self._release(rj)
         self._promises.pop(jid, None)

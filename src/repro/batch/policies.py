@@ -220,7 +220,9 @@ class SharePolicy(BatchPolicy):
                 # (failed/draining capacity); narrower jobs behind it may
                 # still fit, so skip rather than stall the whole queue.
                 continue
-            if max(disp.residents_on(n) for n in nodes) >= self.max_share:
+            # The nodes come in ascending residency: the last is the most
+            # loaded.
+            if disp.residents_on(nodes[-1]) >= self.max_share:
                 # Oversubscription cap reached; keep FCFS order while the
                 # pool drains rather than burying it deeper.
                 break

@@ -1,10 +1,12 @@
 """Exact dispatcher clocks stay ``int`` until processor sharing divides.
 
 Rigid schedules (fcfs, easy, priority) are integer arithmetic end to end:
-with :class:`fractions.Fraction` made unusable inside the dispatcher they
-must still complete, and give the same result as with it.  Fractional
-sharing is the only policy that may build a Fraction (the sanitizer checks
-that an integral one is always stored back as its ``int``).
+with the dispatcher's one rational constructor, ``_rational``, made
+unusable they must still complete, and give the same result as with it.
+Fractional sharing is the only policy that builds a rational, and a deep
+queue under ``share`` does build non-integral clocks, so the seam is live
+(the sanitizer checks that an integral value is always stored as its
+``int``).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ def _mtbf(trace):
                           mtbf_us=horizon // 3, repair_us=horizon // 50)
 
 
-def _no_fraction(*args, **kwargs):
-    raise AssertionError("a rigid schedule built a Fraction")
+def _no_rational(*args, **kwargs):
+    raise AssertionError("a rigid schedule built a rational")
 
 
 @pytest.mark.parametrize("armed", [False, True], ids=["unarmed", "mtbf"])
@@ -42,9 +44,30 @@ def test_rigid_policies_never_build_a_fraction(policy, armed, monkeypatch):
     kw = dict(runtime_model="analytic", job_retries=16,
               fault_plan=_mtbf(trace) if armed else None)
     expected = simulate_batch(trace, 8, policy, **kw)
-    monkeypatch.setattr(dispatcher_mod, "Fraction", _no_fraction)
+    monkeypatch.setattr(dispatcher_mod, "_rational", _no_rational)
     result = simulate_batch(trace, 8, policy, **kw)
     assert result == expected
     assert result.n_jobs == len(trace) and not result.failed
     if armed:
         assert result.requeues > 0
+
+
+def test_share_builds_non_integral_clocks(monkeypatch):
+    trace = generate_trace(
+        WorkloadConfig(n_jobs=200, interarrival_us=1_840, max_nodes=4), 0
+    )
+    expected = simulate_batch(trace, 16, "share", runtime_model="analytic")
+    built = []
+    real = dispatcher_mod._rational
+
+    def counting(n, d):
+        value = real(n, d)
+        built.append(type(value) is not int)
+        return value
+
+    monkeypatch.setattr(dispatcher_mod, "_rational", counting)
+    result = simulate_batch(trace, 16, "share", runtime_model="analytic")
+    assert result == expected
+    assert result.queue_depth_peak > 50
+    assert sum(built) > 0
+    assert not all(float(o.finish).is_integer() for o in result.jobs)

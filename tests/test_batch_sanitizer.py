@@ -2,14 +2,17 @@
 
 With the sanitizer on, the dispatcher checks after every event that the
 indexes it schedules from agree with the ground truth they summarize: the
-node -> resident map with ``running``, the sorted free list with the
-unheld up-nodes, the release index with the running rigid jobs, and the
-rank index (and the queue's enqueue serials) with the queue.  It also
-checks that every stored clock is canonical (an ``int``, or a Fraction
-that is not integral), and at the end of a rigid schedule that the pool's
-busy node time equals the node time the jobs held.  A clean run must be
-bit-identical to an unsanitized one; a corrupted index or clock must fail
-loudly with :class:`~repro.kernel.invariants.InvariantViolation`.
+node -> resident map with ``running``, the per-node residency counts with
+that map, the sorted free list with the unheld up-nodes, the release
+index with the running rigid jobs, and the rank index (and the queue's
+enqueue serials) with the queue.  Each running rigid job must hold a
+unique version no newer than the version clock, with exactly one finish
+event for it on the heap.  It also checks that every stored clock is
+canonical (an ``int``, or a non-integral rational in lowest terms), and at
+the end of a rigid schedule that the pool's busy node time equals the node
+time the jobs held.  A clean run must be bit-identical to an unsanitized
+one; a corrupted index or clock must fail loudly with
+:class:`~repro.kernel.invariants.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+import repro.batch.dispatcher as dispatcher_mod
 from repro.batch.dispatcher import BatchDispatcher, simulate_batch
 from repro.batch.policies import make_policy
 from repro.batch.workload import WorkloadConfig, generate_trace
@@ -98,6 +102,29 @@ def _integral_fraction_demand(disp):
     rj.demand = Fraction(rj.demand)  # unarmed, every demand is a whole base
 
 
+def _unreduced_now(disp):
+    # 2/4: the rational constructor would never build it.
+    q = object.__new__(dispatcher_mod._Rational)
+    q.n, q.d = 2, 4
+    disp.now = q
+
+
+def _miscount_residents(disp):
+    rj = next(iter(disp.running.values()))
+    disp._residency[rj.nodes[0]] += 1
+
+
+def _duplicate_finish(disp):
+    rj = next(iter(disp.running.values()))
+    disp._push(rj.finish_at, dispatcher_mod._EV_FINISH, rj.job.job_id,
+               rj.version)
+
+
+def _future_version(disp):
+    rj = next(iter(disp.running.values()))
+    rj.version = disp._vclock + 1
+
+
 def _lose_busy_time(disp):
     disp._busy_node_time -= 1
 
@@ -110,6 +137,10 @@ def _lose_busy_time(disp):
     ("priority", _drop_ranked, "batch-rank-index"),
     ("fcfs", _integral_fraction_now, "batch-canonical-clock"),
     ("share", _integral_fraction_demand, "batch-canonical-clock"),
+    ("fcfs", _unreduced_now, "batch-canonical-clock"),
+    ("share", _miscount_residents, "batch-residency"),
+    ("fcfs", _duplicate_finish, "batch-version"),
+    ("easy", _future_version, "batch-version"),
     ("easy", _lose_busy_time, "batch-node-conservation"),
     ("priority", _lose_busy_time, "batch-node-conservation"),
 ])
@@ -121,6 +152,13 @@ def test_corrupted_index_is_caught(policy, damage, rule, monkeypatch):
         disp.dispatch()
     assert err.value.rule == rule
 
+
+def test_non_integral_clock_prints_as_a_ratio(monkeypatch):
+    monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
+    disp = BatchDispatcher(_trace(), 8, _Corrupting("fcfs", _unreduced_now),
+                           runtime_model="analytic")
+    with pytest.raises(InvariantViolation, match=r"t=2/4us.*holds 2/4"):
+        disp.dispatch()
 
 
 def test_conservation_is_not_claimed_under_sharing(monkeypatch):

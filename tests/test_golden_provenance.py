@@ -241,3 +241,31 @@ def test_batch_provenance_matches_golden(scenario: str, tmp_path: Path) -> None:
         f"provenance for {scenario} is not byte-identical to the golden "
         "fixture — the change is not semantics-preserving"
     )
+
+
+#: A deep-queue ``share`` schedule through the CLI, exactly as recorded:
+#: arrivals at about twice the drain rate keep ~200 jobs queued, so
+#: processor sharing re-times co-residents constantly and many of the
+#: schedule's clocks are non-integral rationals (``makespan_us`` among
+#: them).
+SHARE_BACKLOG_ARGV = [
+    "batch", "share", "--pool", "16", "--trace-jobs", "400",
+    "--interarrival", "1840", "--max-nodes", "4",
+    "--runtime-model", "analytic", "-n", "2", "--seed", "0",
+    "--jobs", "1", "--no-cache",
+]
+
+
+def test_share_backlog_provenance_matches_golden(tmp_path: Path) -> None:
+    from repro.cli import main
+
+    fixture = GOLDEN_DIR / "batch_share_backlog.jsonl"
+    out = fixture if REGEN else tmp_path / fixture.name
+    assert main(SHARE_BACKLOG_ARGV + ["--provenance", str(out)]) == 0
+    if REGEN:
+        (fixture.parent / f"{fixture.name}.meta.json").unlink(missing_ok=True)
+        return
+    assert out.read_bytes() == fixture.read_bytes(), (
+        "deep-queue share provenance is not byte-identical to the golden "
+        "fixture — the change is not semantics-preserving"
+    )
