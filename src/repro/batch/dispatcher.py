@@ -26,7 +26,8 @@ Rigid policies enforce walltime limits: a job is killed at
 not decoration — EASY's non-delay guarantee is only provable because
 running jobs have hard release bounds, and the dispatcher audits every
 reservation promise against the head's actual start (`head_delays` must
-be 0; the Hypothesis suite leans on this).
+be 0; the Hypothesis suite leans on this, and under ``REPRO_SANITIZE=1`` a
+start past its promise raises ``batch-easy-promise`` at once).
 
 Fault model (the ``BATCH`` universe of :class:`repro.faults.plan.FaultKind`):
 
@@ -301,6 +302,17 @@ class JobOutcome:
     held_node_us: float = 0.0
 
 
+def _job_outcome(**fields) -> JobOutcome:
+    """``JobOutcome(**fields)`` without the frozen ``__init__``'s one
+    ``object.__setattr__`` per field: the keyword dict becomes the
+    record's ``__dict__``.  Callers pass every field, in field order, so
+    the record equals a constructed one in ``==``, ``hash``, ``repr``,
+    :func:`dataclasses.asdict` and pickle bytes, and stays frozen."""
+    outcome = object.__new__(JobOutcome)
+    object.__setattr__(outcome, "__dict__", fields)
+    return outcome
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """A full schedule plus its aggregate metrics (picklable, cacheable)."""
@@ -394,15 +406,19 @@ class BatchDispatcher:
     * ``releases`` — rigid running jobs by ``(guaranteed_release,
       job_id)``, for EASY's shadow walk;
     * ``_free`` — free up-nodes, sorted; and ``_on_node`` — node ->
-      ``{job_id: running job}``, which answers evictions, node returns,
-      occupancy and lost capacity without a scan of ``running``;
+      ``{job_id: running job}``, which answers evictions and node returns
+      without a scan of ``running``;
     * ``_residency`` — each node's resident count, which orders
-      ``least_loaded_nodes`` and gives ``_reprice`` its loads.
+      ``least_loaded_nodes`` and gives ``_reprice`` its loads;
+    * ``_occupied`` and ``_lost`` — the nodes with a resident, and the
+      out-of-service nodes without one, which price busy and lost node
+      time at every clock advance.
 
     Under ``REPRO_SANITIZE=1`` every event ends with an audit of these
     indexes against the ground truth they summarize, of every stored clock
     for canonical form, and of each running rigid job's version against
-    its finish event.
+    its finish event; a rigid start past the tightest latest start still
+    promised to it raises at once.
     """
 
     def __init__(
@@ -474,6 +490,7 @@ class BatchDispatcher:
         ]
         self._residency: List[int] = [0] * pool_nodes  # len(_on_node[n])
         self._occupied = 0  # nodes with at least one resident
+        self._lost = 0  # out-of-service nodes with no resident
         self._node_state: List[str] = [_UP] * pool_nodes
         self._node_failures: List[int] = [0] * pool_nodes
         self._events: list = []
@@ -572,6 +589,12 @@ class BatchDispatcher:
         promised = self._promises.get(job.job_id)
         if promised is not None and self.now > promised:
             self.head_delays += 1
+            if self._sanitize:
+                raise InvariantViolation(
+                    "batch-easy-promise",
+                    f"job {job.job_id} starts at {self.now!r}, after the "
+                    f"latest start {promised!r} promised to it",
+                    time=self.now)
         self._push(rj.finish_at, _EV_FINISH, job.job_id, rj.version)
 
     def start_shared(self, job: BatchJob, nodes: Tuple[int, ...]) -> None:
@@ -617,6 +640,8 @@ class BatchDispatcher:
             residency[n] -= 1
             if not residents:
                 self._occupied -= 1
+                if self._node_state[n] != _UP:
+                    self._lost += 1
         if rj.limit is not None:
             del self.releases[bisect_left(self.releases,
                                           (rj.guaranteed_release, jid))]
@@ -732,9 +757,9 @@ class BatchDispatcher:
 
     def _lost_nodes(self) -> int:
         """Out-of-service nodes that are not still finishing a resident
-        (a draining node with residents is busy, not lost)."""
-        return sum(1 for n in range(self.pool_nodes)
-                   if self._node_state[n] != _UP and not self._on_node[n])
+        (a draining node with residents is busy, not lost), as counted by
+        ``_release`` and the fault handlers."""
+        return self._lost
 
     def _remaining(self, rj: _Running) -> Exact:
         """Work a shared job still owes at ``now``, settled from its
@@ -824,6 +849,12 @@ class BatchDispatcher:
             fail("batch-occupancy",
                  f"counter says {self._occupied} occupied nodes, "
                  f"residents say {occupied}")
+        lost = sum(1 for n in range(self.pool_nodes)
+                   if self._node_state[n] != _UP and not self._on_node[n])
+        if self._lost != lost:
+            fail("batch-lost",
+                 f"counter says {self._lost} lost nodes, node states and "
+                 f"residents say {lost}")
         if self.policy.rigid:
             free = [n for n in range(self.pool_nodes)
                     if self._node_state[n] == _UP and not self._on_node[n]]
@@ -881,6 +912,10 @@ class BatchDispatcher:
         if ev.kind == FaultKind.NODE_FAIL:
             if self._node_state[ev.node] == _DOWN:
                 return  # idempotent: already dead
+            # An idle up-node is lost now, an occupied one as the eviction
+            # below empties it; a draining idle node was counted already.
+            if self._node_state[ev.node] == _UP and not self._on_node[ev.node]:
+                self._lost += 1
             self._node_state[ev.node] = _DOWN
             self._node_failures[ev.node] += 1
             self.node_fails += 1
@@ -891,6 +926,8 @@ class BatchDispatcher:
         elif ev.kind == FaultKind.NODE_DRAIN:
             if self._node_state[ev.node] != _UP:
                 return  # already draining or dead
+            if not self._on_node[ev.node]:
+                self._lost += 1
             self._node_state[ev.node] = _DRAINING
             self.drains += 1
             if ev.node in self._free:
@@ -902,8 +939,10 @@ class BatchDispatcher:
             if self._node_state[ev.node] == _UP:
                 return  # idempotent: already in service
             self._node_state[ev.node] = _UP
-            if ev.node not in self._free and not self._on_node[ev.node]:
-                insort(self._free, ev.node)
+            if not self._on_node[ev.node]:
+                self._lost -= 1
+                if ev.node not in self._free:
+                    insort(self._free, ev.node)
 
     def _evict_residents(self, node: int, *, preempt: bool) -> None:
         victims = [rj for _jid, rj in sorted(self._on_node[node].items())]
@@ -984,7 +1023,7 @@ class BatchDispatcher:
         bsld = max(1.0, float(response) / max(float(isolated),
                                               float(self.tau_us)))
         self.failed_jobs += 1
-        self._done[jid] = JobOutcome(
+        self._done[jid] = _job_outcome(
             job_id=jid,
             digest=job.digest(),
             submit=job.submit,
@@ -1030,7 +1069,7 @@ class BatchDispatcher:
         isolated = (min(rj.base_runtime, rj.limit) if rj.limit is not None
                     else rj.base_runtime)
         bsld = max(1.0, float(response) / max(float(isolated), float(self.tau_us)))
-        self._done[jid] = JobOutcome(
+        self._done[jid] = _job_outcome(
             job_id=jid,
             digest=job.digest(),
             submit=job.submit,

@@ -391,10 +391,19 @@ class FaultPlan:
         }
 
     def digest(self) -> str:
-        """Short stable digest naming this exact plan."""
+        """Short stable digest naming this exact plan.
+
+        Computed once per instance and kept in the instance ``__dict__``
+        under ``_digest``, outside the dataclass fields, so ``==``,
+        ``hash``, :func:`dataclasses.asdict` and the spec digests built on
+        it never see it (the plan is immutable: a tuple of frozen events)."""
+        cached = self.__dict__.get("_digest")
+        if cached is not None:
+            return cached
         from repro.obs.provenance import config_digest
 
-        return config_digest(self.as_dict())
+        cached = self.__dict__["_digest"] = config_digest(self.as_dict())
+        return cached
 
 
 def offline_core_events(

@@ -93,8 +93,17 @@ def _jsonable(value):
 
 
 def stable_digest(payload, length: int = 32) -> str:
-    """sha256 hex digest (truncated to *length*) of normalized *payload*."""
-    blob = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
+    """sha256 hex digest (truncated to *length*) of normalized *payload*.
+
+    A flat ``dict`` of ``str`` keys and exact plain scalars or ``None``
+    (a batch job's digest payload) skips :func:`_jsonable`, which would
+    return an equal dict that ``sort_keys`` orders the same way."""
+    if not (type(payload) is dict
+            and all(type(k) is str for k in payload)
+            and all(type(v) in _PLAIN_SCALARS or v is None
+                    for v in payload.values())):
+        payload = _jsonable(payload)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:length]
 
 

@@ -3,16 +3,18 @@
 With the sanitizer on, the dispatcher checks after every event that the
 indexes it schedules from agree with the ground truth they summarize: the
 node -> resident map with ``running``, the per-node residency counts with
-that map, the sorted free list with the unheld up-nodes, the release
-index with the running rigid jobs, and the rank index (and the queue's
-enqueue serials) with the queue.  Each running rigid job must hold a
-unique version no newer than the version clock, with exactly one finish
-event for it on the heap.  It also checks that every stored clock is
-canonical (an ``int``, or a non-integral rational in lowest terms), and at
-the end of a rigid schedule that the pool's busy node time equals the node
-time the jobs held.  A clean run must be bit-identical to an unsanitized
-one; a corrupted index or clock must fail loudly with
-:class:`~repro.kernel.invariants.InvariantViolation`.
+that map, the lost-node count with the node states and residents, the
+sorted free list with the unheld up-nodes, the release index with the
+running rigid jobs, and the rank index (and the queue's enqueue serials)
+with the queue.  Each running rigid job must hold a unique version no
+newer than the version clock, with exactly one finish event for it on the
+heap.  It also checks that every stored clock is canonical (an ``int``,
+or a non-integral rational in lowest terms), and at the end of a rigid
+schedule that the pool's busy node time equals the node time the jobs
+held.  A rigid start later than the tightest latest start still promised
+to that job fails at once.  A clean run must be bit-identical to an
+unsanitized one; a corrupted index, clock or promise must fail loudly
+with :class:`~repro.kernel.invariants.InvariantViolation`.
 """
 
 from __future__ import annotations
@@ -129,6 +131,15 @@ def _lose_busy_time(disp):
     disp._busy_node_time -= 1
 
 
+def _miscount_lost(disp):
+    disp._lost += 1
+
+
+def _forge_promise(disp):
+    # A latest start already in the past: the job's start must break it.
+    disp._promises[disp.queue[0].job_id] = disp.now - 1
+
+
 @pytest.mark.parametrize("policy,damage,rule", [
     ("fcfs", _forget_resident, "batch-node-residents"),
     ("share", _forget_resident, "batch-node-residents"),
@@ -143,6 +154,8 @@ def _lose_busy_time(disp):
     ("easy", _future_version, "batch-version"),
     ("easy", _lose_busy_time, "batch-node-conservation"),
     ("priority", _lose_busy_time, "batch-node-conservation"),
+    ("fcfs", _miscount_lost, "batch-lost"),
+    ("easy", _forge_promise, "batch-easy-promise"),
 ])
 def test_corrupted_index_is_caught(policy, damage, rule, monkeypatch):
     monkeypatch.setenv(SANITIZE_ENV_VAR, "1")

@@ -269,3 +269,36 @@ def test_share_backlog_provenance_matches_golden(tmp_path: Path) -> None:
         "deep-queue share provenance is not byte-identical to the golden "
         "fixture — the change is not semantics-preserving"
     )
+
+
+#: A shallow-queue schedule under a dense fail/return timeline, exactly as
+#: recorded: 109 fault events (MTBF failures, two preempting drains and
+#: an early return), so ``node_lost_us`` passes through every lost-node
+#: transition — a node failing or draining empty or occupied, its last
+#: resident leaving, its return.
+CHURN_ARGV = [
+    "batch", "{policy}", "--pool", "16", "--trace-jobs", "200",
+    "--interarrival", "7400", "--max-nodes", "4",
+    "--runtime-model", "analytic", "--mtbf", "370000", "--repair", "7400",
+    "--fault-horizon", "1480000", "--job-retries", "64",
+    "--drain-node", "3@400000", "--drain-node", "9@900000",
+    "--drain-preempt", "--return-node", "3@700000",
+    "-n", "2", "--seed", "0", "--jobs", "1", "--no-cache",
+]
+
+
+@pytest.mark.parametrize("policy", ["easy", "share"])
+def test_churn_provenance_matches_golden(policy: str, tmp_path: Path) -> None:
+    from repro.cli import main
+
+    fixture = GOLDEN_DIR / f"batch_churn_{policy}.jsonl"
+    out = fixture if REGEN else tmp_path / fixture.name
+    argv = [arg.format(policy=policy) for arg in CHURN_ARGV]
+    assert main(argv + ["--provenance", str(out)]) == 0
+    if REGEN:
+        (fixture.parent / f"{fixture.name}.meta.json").unlink(missing_ok=True)
+        return
+    assert out.read_bytes() == fixture.read_bytes(), (
+        f"churn {policy} provenance is not byte-identical to the golden "
+        "fixture — the change is not semantics-preserving"
+    )

@@ -7,6 +7,8 @@ suite itself lives outside tier-1 (see benchmarks/perf/test_perf_gate.py).
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -140,3 +142,24 @@ def test_committed_baseline_scores_nas_lanes_in_runs_per_second() -> None:
     )
     nas = {k: m for k, m in baseline["metrics"].items() if k.startswith("nas_")}
     assert nas and all(m["unit"] == "runs/s" for m in nas.values())
+
+
+def test_ab_pairs_a_revision_with_the_working_tree() -> None:
+    """The paired A/B tool extracts a revision, times one lane on both
+    sides in fresh interpreters, and prints one summary line per lane."""
+    repo_root = Path(__file__).resolve().parent.parent
+    if shutil.which("git") is None or subprocess.run(
+        ["git", "-C", str(repo_root), "rev-parse", "--verify", "HEAD"],
+        capture_output=True,
+    ).returncode != 0:
+        pytest.skip("needs a git checkout with a HEAD revision")
+    env = dict(os.environ, REPRO_PERF_REPS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "benchmarks.perf.ab", "--base", "HEAD",
+         "--pairs", "1", "--only", "micro_event_queue"],
+        cwd=repo_root, env=env, capture_output=True, text=True, check=True,
+    )
+    lane = [line for line in proc.stdout.splitlines()
+            if line.startswith("micro_event_queue")]
+    assert len(lane) == 1 and "ops/s" in lane[0]
+    assert lane[0].split()[-1] in ("0/1", "1/1")
