@@ -73,10 +73,13 @@ def _iqr(values: List[float]) -> float:
 
 def summarize(base: List[Dict[str, Dict[str, float]]],
               head: List[Dict[str, Dict[str, float]]]) -> List[str]:
-    """One line per lane over paired runs (``base[i]`` with ``head[i]``)."""
+    """One line per lane over paired runs (``base[i]`` with ``head[i]``).
+
+    Only lanes both trees' suites report are compared; a lane one suite
+    lacks gets a ``head only`` or ``base only`` line."""
     lines = [f"{'lane':24s} {'base':>12s} {'base IQR':>12s} {'head':>12s} "
              f"{'unit':9s} {'ratio':>7s}  wins"]
-    for lane in head[0]:
+    for lane in [lane for lane in head[0] if lane in base[0]]:
         b = [run[lane]["score"] for run in base]
         h = [run[lane]["score"] for run in head]
         ratio = statistics.median(hv / bv for bv, hv in zip(b, h))
@@ -88,6 +91,8 @@ def summarize(base: List[Dict[str, Dict[str, float]]],
             f"{head[0][lane].get('unit', ''):9s} {ratio:6.3f}x  "
             f"{wins}/{len(b)}"
         )
+    lines += [f"{lane:24s} head only" for lane in head[0] if lane not in base[0]]
+    lines += [f"{lane:24s} base only" for lane in base[0] if lane not in head[0]]
     return lines
 
 

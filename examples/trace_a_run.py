@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Trace a run and render the Gantt view: who ran where, who got preempted.
 
-Attaches the scheduler trace to a stock-Linux kernel, runs a small 4-rank
-application alongside the node's daemons, and prints:
+Attaches an observer (event trace plus per-class and per-task counters) to
+a stock-Linux kernel, runs a small 4-rank application alongside the node's
+daemons, and prints:
 
-* the per-CPU occupancy Gantt for a window around one barrier,
-* the ``/proc``-style scheduler statistics for the noisiest rank,
-* a ``perf sched``-style migration log.
+* the per-CPU occupancy Gantt of the timed section,
+* a ``perf sched``-style migration log,
+* the ``perf stat``-style counters of the ranks, as ``hpl-repro stat
+  --ranks-only`` prints them.
 
 Usage::
 
@@ -20,8 +22,8 @@ from repro.apps.mpi import MpiApplication
 from repro.apps.spmd import Program
 from repro.kernel.daemons import DaemonSet, cluster_node_profile
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.proc import render_schedstat, render_task_sched
-from repro.sim.trace import TraceKind, attach_trace
+from repro.obs import observe, render_stat
+from repro.sim.trace import TraceKind
 from repro.topology.presets import generic_smp
 from repro.units import msecs, secs
 
@@ -30,7 +32,8 @@ def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 
     kernel = Kernel(generic_smp(4), KernelConfig.stock(), seed=seed)
-    trace = attach_trace(kernel)
+    observer = observe(kernel)
+    trace = observer.trace
     DaemonSet(kernel, cluster_node_profile()).start()
 
     program = Program.iterative(
@@ -45,20 +48,14 @@ def main() -> None:
 
     # Gantt of the whole timed section.
     assert stats.timer_started_at is not None and stats.timer_stopped_at is not None
-    idle_pids = [t.pid for t in kernel.tasks.values() if t.is_idle]
     window = build_timeline(
         trace,
         start=stats.timer_started_at,
         end=stats.timer_stopped_at,
-        idle_pids=idle_pids,
+        idle_pids=observer.idle_pids(),
     )
-    names = {t.pid: t.name for t in kernel.tasks.values()}
+    names = observer.names()
     print(render_gantt(window, names=names, width=72))
-
-    # The noisiest rank's /proc/<pid>/sched.
-    noisiest = max(app.rank_tasks(), key=lambda t: t.nr_involuntary_switches)
-    print()
-    print(render_task_sched(noisiest))
 
     # Migration log.
     migrations = trace.events(kind=TraceKind.MIGRATE)
@@ -67,8 +64,14 @@ def main() -> None:
         print(f"  t={e.time:>9}us pid {e.pid} ({names.get(e.pid, '?')}) "
               f"cpu{e.prev_cpu} -> cpu{e.cpu}")
 
+    # The ranks' counters.
+    perf = kernel.perf
+    ranks = {t.pid for t in app.rank_tasks()}
+    for pid in [pid for pid in perf.task_counters if pid not in ranks]:
+        del perf.task_counters[pid]
     print()
-    print(render_schedstat(kernel))
+    print(render_stat(perf, wall_time_us=kernel.now, app_time_s=stats.app_time / 1e6,
+                      title=f"{program.name} under stock (seed {seed})"), end="")
 
 
 if __name__ == "__main__":

@@ -26,8 +26,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.apps.nas": ("NasSpec", "nas_spec", "nas_program", "NAS_BENCHMARKS"),
     "repro.apps.mpiexec": ("LaunchMode", "MpiJob", "JobResult"),
     "repro.apps.hybrid": ("HybridApplication", "HybridStats"),
-    "repro.apps.workloads": (
-        "bulk_synchronous", "irregular_bsp", "parameter_sweep_batch",
-        "pipeline", "stencil_with_checkpoints",
-    ),
 })

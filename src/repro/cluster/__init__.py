@@ -1,4 +1,4 @@
-"""Cluster-scale extrapolation: noise resonance and Amdahl utilities.
+"""Cluster scale: noise resonance, extrapolated and co-simulated.
 
 §II argues the single-node effects matter because they *resonate* at scale:
 "When scaling to thousands of nodes, the probability that in each computing
@@ -9,17 +9,14 @@ delays into cluster-scale predictions:
 * :mod:`repro.cluster.resonance` — bootstrap and analytic scaling of
   per-phase delay maxima across N nodes, including the Petrini-style
   spare-core experiment (leaving one CPU to the OS can *win* at scale);
-* :mod:`repro.cluster.amdahl` — the speedup accounting the paper leans on
-  when selecting benchmarks ("application speedup is limited by the amount
-  of time spent in synchronization", §III).
+* :mod:`repro.cluster.multinode` — a small cluster of node kernels on one
+  clock, whose collectives wait for the globally slowest rank, with node
+  failure detection and recovery.
 """
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.cluster.amdahl": (
-        "amdahl_speedup", "efficiency", "serial_fraction_from_speedup",
-    ),
     "repro.cluster.multinode": (
         "ClusterIncompleteError", "ClusterJob", "ClusterResult",
         "run_cluster_job",

@@ -1,10 +1,10 @@
-"""Campaign export: CSV, JSON, and rendered SVG figures.
+"""Campaign export: CSV and rendered SVG figures.
 
 Everything a downstream user needs to re-plot the paper's artifacts with
 their own tools:
 
-* :func:`campaign_to_csv` / :func:`campaign_to_json` — one row per run
-  (time, counters, mode, seed index);
+* :func:`campaign_to_csv` — one row per run (time, counters, mode, seed
+  index);
 * :func:`export_figures` — run the ep.A.8 campaigns and write Figs. 2, 3a,
   3b, 4 as SVG files plus the underlying CSVs into a directory (the repo's
   substitute for the paper's PDF panels).
@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.analysis.stats import summarize
 from repro.analysis.svg import histogram_svg, scatter_svg
 from repro.experiments.runner import CampaignResult, run_nas_campaign
 
-__all__ = ["campaign_to_csv", "campaign_to_json", "export_figures"]
+__all__ = ["campaign_to_csv", "export_figures"]
 
 _CSV_FIELDS = [
     "run_index",
@@ -57,39 +55,6 @@ def campaign_to_csv(campaign: CampaignResult) -> str:
             }
         )
     return buf.getvalue()
-
-
-def campaign_to_json(campaign: CampaignResult) -> str:
-    """Render a campaign as a JSON document with summary + per-run rows."""
-    times = summarize(campaign.app_times_s())
-    doc = {
-        "label": campaign.label,
-        "regime": campaign.regime,
-        "n_runs": campaign.n_runs,
-        "summary": {
-            "time_s": {
-                "min": times.minimum,
-                "avg": times.mean,
-                "max": times.maximum,
-                "variation_pct": times.variation,
-            },
-            "cpu_migrations_avg": summarize(
-                [float(v) for v in campaign.migrations()], metric="count"
-            ).mean,
-            "context_switches_avg": summarize(
-                [float(v) for v in campaign.context_switches()], metric="count"
-            ).mean,
-        },
-        "runs": [
-            {
-                "app_time_s": r.app_time_s,
-                "context_switches": r.context_switches,
-                "cpu_migrations": r.cpu_migrations,
-            }
-            for r in campaign.results
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def export_figures(

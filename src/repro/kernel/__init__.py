@@ -31,8 +31,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.kernel.irq": ("TimerInterruptParams", "TimerInterrupts"),
     "repro.kernel.power": ("EnergyMeter", "PowerParams"),
-    "repro.kernel.proc": (
-        "consistency_check", "render_ps", "render_schedstat",
-        "render_task_sched",
-    ),
 })

@@ -15,7 +15,8 @@ one of them, the invariants the paper's scheduler design rests on:
   its affinity mask forbids, nor on an offline CPU;
 * **bookkeeping** — no task is lost (RUNNABLE but on no queue) or
   double-enqueued (on two queues, or queued while running) across all run
-  queues;
+  queues; each CPU's current task is RUNNING on that CPU (and never
+  EXITED), and every queued task is RUNNABLE on its queue's CPU;
 * **monotone clocks** — per-task ``sum_exec_runtime`` and ``last_ran_at``
   never go backwards;
 * **armed timers** — before every event, each CPU whose running task has
@@ -38,6 +39,8 @@ environment and every :class:`~repro.kernel.kernel.Kernel` boots with a
 checker attached (CI runs the tier-1 suite once this way).  Attachment is
 passive — the checker only reads scheduler state — so a sanitized run's
 results are bit-identical to a bare run of the same seed.
+:func:`check_books` runs the bookkeeping rules once over any kernel, e.g.
+a finished run.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "InvariantViolation",
     "SchedInvariantChecker",
     "attach_sanitizer",
+    "check_books",
 ]
 
 #: Environment variable enabling the sanitizer (any value but "" / "0").
@@ -65,6 +69,9 @@ INVARIANT_RULES = (
     "cpu-online",       # nothing is enqueued on / run on an offline CPU
     "no-lost-task",     # every RUNNABLE task is on exactly one queue
     "no-double-enqueue",  # no task on two queues, or queued while running
+    "curr-running",     # each CPU's current task is RUNNING on that CPU
+    "no-exited-curr",   # no EXITED task is any CPU's current task
+    "queued-runnable",  # every queued task is RUNNABLE on its queue's CPU
     "monotone-clock",   # per-task runtime accounting never goes backwards
     "timer-armed",      # a running task with work or a slice has a live timer
     "handler-cleared",  # no segment-handler marker survives its handler
@@ -114,7 +121,7 @@ class SchedInvariantChecker:
     ``migration_observers`` so every pick, enqueue and migration is checked
     the moment it happens — not post-mortem, when the corrupting decision is
     long gone — and to the simulator's trace hooks, so the CPU timers are
-    audited before every event.
+    audited before every event (:meth:`attach`).
     """
 
     def __init__(self, kernel) -> None:
@@ -125,11 +132,16 @@ class SchedInvariantChecker:
         self._clocks: Dict[int, Tuple[int, int]] = {}
         #: Total individual invariant checks performed (diagnostics).
         self.checks = 0
+
+    def attach(self) -> "SchedInvariantChecker":
+        """Hook every rule into the kernel; returns the checker."""
+        kernel = self.kernel
         self.core.switch_hooks.append(self._on_switch)
         self.core.wakeup_hooks.append(self._on_wakeup)
         kernel.perf.migration_observers.append(self._on_migration)
         kernel.sim.add_trace_hook(self._check_timers)
         kernel.sim.add_trace_hook(self._check_smt_busy)
+        return self
 
     # ------------------------------------------------------------- failures
 
@@ -283,36 +295,54 @@ class SchedInvariantChecker:
         self._clocks[task.pid] = now
 
     def _check_books(self, picked: Optional[Task] = None) -> None:
-        """No task lost or double-enqueued across all run queues.
+        """No task lost or double-enqueued across all run queues; every
+        ``rq.curr`` RUNNING on its CPU, every queued task RUNNABLE on its.
 
         *picked* is the task the in-progress switch is installing: it has
         been removed from its class queue but is not yet ``rq.curr``, so it
-        is exempt from the lost-task rule for this check.
+        is exempt from the lost-task rule for this check, and a CPU may be
+        between two current tasks.
         """
         self.checks += 1
         seen: Dict[int, str] = {}
         for rq in self.core.rqs:
+            cpu = rq.cpu_id
             curr = rq.curr
-            if curr is not None and not curr.is_idle:
-                seen[curr.pid] = f"running on cpu{rq.cpu_id}"
+            if curr is None:
+                if picked is None:
+                    self._fail("curr-running", "no current task, not even idle", cpu=cpu)
+            elif curr.state != TaskState.RUNNING or curr.cpu != cpu:
+                self._fail(
+                    "no-exited-curr" if curr.state == TaskState.EXITED else "curr-running",
+                    f"{curr.name} (pid {curr.pid}) is rq.curr in state "
+                    f"{curr.state} claiming cpu {curr.cpu}",
+                    cpu=cpu,
+                )
+            elif not curr.is_idle:
+                seen[curr.pid] = f"running on cpu{cpu}"
             for name, queue in rq.queues.items():
-                if name == "idle":
-                    continue
                 for task in queue.queued_tasks():
-                    where = f"queued on cpu{rq.cpu_id}/{name}"
+                    where = f"queued on cpu{cpu}/{name}"
                     if task.pid in seen:
                         self._fail(
                             "no-double-enqueue",
                             f"{task.name} (pid {task.pid}) is {where} and "
                             f"also {seen[task.pid]}",
-                            cpu=rq.cpu_id,
+                            cpu=cpu,
                         )
                     if task is curr:
                         self._fail(
                             "no-double-enqueue",
                             f"{task.name} (pid {task.pid}) is rq.curr and "
                             f"also {where}",
-                            cpu=rq.cpu_id,
+                            cpu=cpu,
+                        )
+                    if task.state != TaskState.RUNNABLE or task.cpu != cpu:
+                        self._fail(
+                            "queued-runnable",
+                            f"{task.name} (pid {task.pid}) is {where} in state "
+                            f"{task.state} claiming cpu {task.cpu}",
+                            cpu=cpu,
                         )
                     seen[task.pid] = where
         for task in self.kernel.tasks.values():
@@ -341,4 +371,11 @@ def attach_sanitizer(kernel) -> Optional[SchedInvariantChecker]:
     """
     if not sanitizer_enabled():
         return None
-    return SchedInvariantChecker(kernel)
+    return SchedInvariantChecker(kernel).attach()
+
+
+def check_books(kernel) -> None:
+    """Run the bookkeeping rules once over *kernel* (a booted, paused or
+    finished one); raises :class:`InvariantViolation` on the first broken
+    rule.  Adds no hooks."""
+    SchedInvariantChecker(kernel)._check_books()

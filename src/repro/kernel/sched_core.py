@@ -349,8 +349,8 @@ class SchedCore:
 
         # Cache dynamics fused with work progression: ``advance`` yields the
         # warmth-integrated mean speed *and* applies the warmth decay from
-        # one shared exponential (bit-identical to the old
-        # mean_speed_over + run_for pair).
+        # one shared exponential (bit-identical to the unfused
+        # mean_speed_over + run_for pair in tests/oracles/warmth.py).
         if effective > 0:
             speed = self.warmth.advance(warmth_state, effective)
             if p.remaining_work is not None:

@@ -107,18 +107,6 @@ class WarmthModel:
 
     # ------------------------------------------------------------- dynamics
 
-    def _tau(self, state: TaskWarmth) -> float:
-        return self.params.rewarm_tau * state.rewarm_scale
-
-    def run_for(self, state: TaskWarmth, delta_us: int) -> None:
-        """Account *delta_us* of execution on the task's home CPU."""
-        if delta_us < 0:
-            raise ValueError("negative run time")
-        if delta_us == 0:
-            return
-        decay = math.exp(-delta_us / self._tau(state))
-        state.warmth = 1.0 - (1.0 - state.warmth) * decay
-
     def migrate(self, state: TaskWarmth, dst_cpu: int) -> None:
         """Move the footprint to *dst_cpu*, losing unshared cache contents."""
         retained = self.machine.migration_retained_warmth(state.home_cpu, dst_cpu)
@@ -145,35 +133,18 @@ class WarmthModel:
         cold = self._cold_speed(state)
         return cold + (1.0 - cold) * state.warmth
 
-    def mean_speed_over(self, state: TaskWarmth, delta_us: int) -> float:
-        """Exact mean of :meth:`speed_factor` over the next *delta_us* of
-        execution (the warmth ODE integrates in closed form).
-
-        Used by the scheduler core to convert "remaining work" into an exact
-        completion time without sub-stepping: work done over ``Δt`` equals
-        ``mean_speed_over(Δt) * Δt``.
-        """
-        if delta_us < 0:
-            raise ValueError("negative interval")
-        if delta_us == 0:
-            return self.speed_factor(state)
-        tau = self._tau(state)
-        gap = 1.0 - state.warmth
-        # ∫0..Δ (1 - gap e^(-t/τ)) dt = Δ - gap τ (1 - e^(-Δ/τ))
-        mean_warmth = 1.0 - gap * tau * (1.0 - math.exp(-delta_us / tau)) / delta_us
-        cold = self._cold_speed(state)
-        return cold + (1.0 - cold) * mean_warmth
-
     def advance(self, state: TaskWarmth, delta_us: int) -> float:
-        """Fused :meth:`mean_speed_over` + :meth:`run_for`: return the mean
-        speed over the next *delta_us* of execution and apply the warmth
-        rewarming for it, sharing the one exponential both need.
+        """Return the exact mean of :meth:`speed_factor` over the next
+        *delta_us* of execution (the warmth ODE integrates in closed form)
+        and apply the warmth rewarming for it, sharing the one exponential
+        both need.
 
-        The expressions are copied from the two methods verbatim (same
-        operand order), so the returned speed and the post-state are
-        bit-identical to calling them separately — this is the scheduler
-        core's per-event accounting path, where the duplicate ``exp`` was
-        pure overhead."""
+        This is the scheduler core's per-event accounting path: work done
+        over ``Δt`` is ``advance(Δt) * Δt`` times the base rate.  It fuses
+        the unfused reference pair ``mean_speed_over`` + ``run_for`` (kept
+        in ``tests/oracles/warmth.py``) with their expressions in the same
+        operand order, so the speed and the post-state are bit-identical to
+        calling the two."""
         if delta_us < 0:
             raise ValueError("negative interval")
         if delta_us == 0:
@@ -191,8 +162,9 @@ class WarmthModel:
         return cold + (1.0 - cold) * mean_warmth
 
     def time_for_work(self, state: TaskWarmth, work_us: int, base_rate: float) -> int:
-        """Invert :meth:`mean_speed_over`: µs of wall-execution needed to
-        complete *work_us* of work at ``base_rate × speed_factor`` rate.
+        """Invert the closed-form mean speed of :meth:`advance`: µs of
+        wall-execution needed to complete *work_us* of work at
+        ``base_rate × speed_factor`` rate.
 
         ``base_rate`` folds in non-cache effects (SMT co-run factor).  The
         real-valued root of the closed-form work integral is found by Newton
@@ -251,7 +223,8 @@ class WarmthModel:
 
         # Snap to the minimal integer satisfying the historical predicate
         # "work done in k µs >= work_us", i.e.
-        # mean_speed_over(state, k) * k * base_rate >= work_us.  It is
+        # mean_speed_over(state, k) * k * base_rate >= work_us (the reference
+        # form is in tests/oracles/warmth.py).  It is
         # written out below at each use with mean_speed_over's operand
         # order; ``gap * tau`` and ``1 - cold`` are its leading products,
         # so hoisting them changes no bit (k >= 1 at every use).

@@ -21,5 +21,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "power6_js22", "power6_single_chip", "generic_smp", "xeon_dual_socket",
         "bluegene_node",
     ),
-    "repro.topology.spec": ("machine_spec", "parse_machine"),
 })

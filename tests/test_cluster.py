@@ -1,11 +1,8 @@
-"""Tests for Amdahl utilities and the noise-resonance models."""
+"""Tests for the noise-resonance models."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cluster.amdahl import amdahl_speedup, efficiency, serial_fraction_from_speedup
 from repro.cluster.resonance import (
     DelayProfile,
     analytic_resonance,
@@ -13,55 +10,6 @@ from repro.cluster.resonance import (
     resonance_curve,
 )
 from repro.units import msecs
-
-
-# ------------------------------------------------------------------- amdahl
-
-
-def test_amdahl_limits():
-    assert amdahl_speedup(1, 0.5) == pytest.approx(1.0)
-    assert amdahl_speedup(1000, 0.0) == pytest.approx(1000.0)
-    # s=0.05 caps speedup at 20.
-    assert amdahl_speedup(10**6, 0.05) == pytest.approx(20.0, rel=0.01)
-
-
-def test_amdahl_validation():
-    with pytest.raises(ValueError):
-        amdahl_speedup(0, 0.1)
-    with pytest.raises(ValueError):
-        amdahl_speedup(4, 1.5)
-
-
-def test_efficiency_decreases_with_n():
-    effs = [efficiency(n, 0.02) for n in (1, 8, 64, 512)]
-    assert effs == sorted(effs, reverse=True)
-
-
-def test_serial_fraction_round_trip():
-    s = 0.03
-    n = 64
-    sp = amdahl_speedup(n, s)
-    assert serial_fraction_from_speedup(n, sp) == pytest.approx(s, rel=1e-9)
-
-
-@given(
-    n=st.integers(2, 10_000),
-    s=st.floats(0.0, 1.0),
-)
-@settings(max_examples=50, deadline=None)
-def test_amdahl_bounds(n, s):
-    sp = amdahl_speedup(n, s)
-    assert 1.0 - 1e-9 <= sp <= n + 1e-9
-
-
-def test_serial_fraction_validation():
-    with pytest.raises(ValueError):
-        serial_fraction_from_speedup(1, 1.0)
-    with pytest.raises(ValueError):
-        serial_fraction_from_speedup(8, 9.0)
-
-
-# ---------------------------------------------------------------- resonance
 
 
 def test_delay_profile_validation():

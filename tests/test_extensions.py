@@ -1,5 +1,5 @@
-"""Tests for the extension modules: tracing, timelines, /proc views, the
-energy meter, the TLB model, and multi-node co-simulation."""
+"""Tests for the extension modules: tracing, timelines, the energy meter,
+the TLB model, and multi-node co-simulation."""
 
 import pytest
 
@@ -9,12 +9,6 @@ from repro.cluster.multinode import ClusterJob, run_cluster_job
 from repro.kernel.daemons import quiet_profile
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.power import EnergyMeter, PowerParams
-from repro.kernel.proc import (
-    consistency_check,
-    render_ps,
-    render_schedstat,
-    render_task_sched,
-)
 from repro.memsim.tlb import TlbModel, TlbParams
 from repro.sim.trace import SchedTrace, TraceEvent, TraceKind, attach_trace
 from repro.topology.presets import generic_smp, power6_js22
@@ -123,43 +117,6 @@ def test_gantt_rendering():
     art = render_gantt(tl, names=names, width=40)
     assert "cpu0" in art and "legend:" in art
     assert "w0" in art
-
-
-# -------------------------------------------------------------------- /proc
-
-
-def test_render_task_sched():
-    kernel, tasks = kernel_with_work()
-    kernel.sim.run_until(secs(1))
-    text = render_task_sched(tasks[0])
-    assert "sum_exec_runtime" in text
-    assert tasks[0].name in text
-
-
-def test_render_schedstat_and_ps():
-    kernel, _ = kernel_with_work(power6_js22(), n_tasks=3)
-    kernel.sim.run_until(msecs(2))
-    stat = render_schedstat(kernel)
-    assert "cpu0" in stat and "total switches=" in stat
-    ps = render_ps(kernel)
-    assert "w0" in ps and "swapper/0" not in ps
-    ps_all = render_ps(kernel, include_idle=True)
-    assert "swapper/0" in ps_all
-
-
-def test_consistency_check_clean_kernel():
-    kernel, _ = kernel_with_work(power6_js22(), n_tasks=4)
-    assert consistency_check(kernel) == []
-    kernel.sim.run_until(msecs(3))
-    assert consistency_check(kernel) == []
-    kernel.sim.run_until(secs(1))
-    assert consistency_check(kernel) == []
-
-
-def test_consistency_check_detects_corruption():
-    kernel, tasks = kernel_with_work()
-    tasks[0].state = "sleeping"  # lie about a running/queued task
-    assert consistency_check(kernel) != []
 
 
 # -------------------------------------------------------------------- power

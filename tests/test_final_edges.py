@@ -1,5 +1,5 @@
 """Final edge-case batch: balancer backoff, engine horizon semantics,
-cluster RT regime, spec-built machines end to end."""
+cluster RT regime, custom-built machines end to end."""
 
 import pytest
 
@@ -8,14 +8,21 @@ from repro.cluster.multinode import run_cluster_job
 from repro.kernel.daemons import quiet_profile
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.sim.engine import Simulator
-from repro.topology.spec import parse_machine
+from repro.topology.cache import CacheHierarchy, CacheLevel, SharingScope
+from repro.topology.machine import Machine
 from repro.units import msecs, secs
+
+L1 = CacheLevel("L1", size_kib=64, shared_by=SharingScope.CORE)
+L1_ONLY = CacheHierarchy(levels=(L1,))
 
 
 def test_balancer_backoff_reduces_attempts_when_balanced():
     """With nothing to balance, the exponential backoff caps the periodic
     balancer's event rate."""
-    kernel = Kernel(parse_machine("1x4x1 L1:64K@core"), KernelConfig.stock(), seed=0)
+    kernel = Kernel(
+        Machine(1, 4, 1, L1_ONLY, smt_throughput=(1.0,), name="spec-1x4x1"),
+        KernelConfig.stock(), seed=0,
+    )
     kernel.sim.at(secs(5), lambda: kernel.sim.stop())
     kernel.sim.run_until(secs(5))
     attempts = kernel.balancer.stats["periodic_attempts"]
@@ -25,7 +32,10 @@ def test_balancer_backoff_reduces_attempts_when_balanced():
 
 
 def test_balancer_interval_grows_with_backoff():
-    kernel = Kernel(parse_machine("1x2x1 L1:64K@core"), KernelConfig.stock(), seed=0)
+    kernel = Kernel(
+        Machine(1, 2, 1, L1_ONLY, smt_throughput=(1.0,), name="spec-1x2x1"),
+        KernelConfig.stock(), seed=0,
+    )
     first = kernel.balancer._next_interval(0)
     kernel.balancer._backoff[(0, "core")] = 32
     backed = kernel.balancer._next_interval(0)
@@ -61,11 +71,15 @@ def test_cluster_rt_regime_runs():
 
 
 def test_spec_machine_full_pipeline():
-    """A machine born from a spec string goes through the whole HPL story."""
+    """A machine built outside the presets goes through the whole HPL story."""
     from repro.apps.mpi import MpiApplication
     from repro.kernel.task import SchedPolicy
 
-    machine = parse_machine("2x2x2 smt=1.0,0.7 L1:64K@core L2:1M@core name=custom")
+    machine = Machine(
+        2, 2, 2,
+        CacheHierarchy(levels=(L1, CacheLevel("L2", size_kib=1024, shared_by=SharingScope.CORE))),
+        smt_throughput=(1.0, 0.7), name="custom",
+    )
     kernel = Kernel(machine, KernelConfig.hpl(), seed=0)
     program = Program.iterative(
         name="spec", n_iters=3, iter_work=msecs(4), init_ops=2, finalize_ops=0,
@@ -81,7 +95,10 @@ def test_spec_machine_full_pipeline():
 def test_idle_system_stays_quiet():
     """A booted kernel with no work processes only housekeeping events and
     counts no context switches."""
-    kernel = Kernel(parse_machine("1x2x1 L1:64K@core"), KernelConfig.stock(), seed=0)
+    kernel = Kernel(
+        Machine(1, 2, 1, L1_ONLY, smt_throughput=(1.0,), name="spec-1x2x1"),
+        KernelConfig.stock(), seed=0,
+    )
     kernel.sim.at(secs(2), lambda: kernel.sim.stop())
     kernel.sim.run_until(secs(2))
     assert kernel.perf.context_switches == 0
@@ -89,7 +106,9 @@ def test_idle_system_stays_quiet():
 
 
 def test_hpl_kernel_boots_without_rt_tasks():
-    kernel = Kernel(parse_machine("1x2x2 smt=1.0,0.6 L1:64K@core"),
-                    KernelConfig.hpl(), seed=0)
+    kernel = Kernel(
+        Machine(1, 2, 2, L1_ONLY, smt_throughput=(1.0, 0.6), name="spec-1x2x2"),
+        KernelConfig.hpl(), seed=0,
+    )
     counts = kernel.runnable_counts()
     assert all(v == 0 for v in counts.values())

@@ -18,10 +18,13 @@ from repro.kernel.invariants import (
     InvariantViolation,
     SchedInvariantChecker,
     attach_sanitizer,
+    check_books,
     sanitizer_enabled,
 )
+from repro.kernel.task import TaskState
 from repro.parallel import classify_failure
-from repro.topology.presets import power6_js22
+from repro.topology.presets import generic_smp, power6_js22
+from repro.units import msecs, secs
 
 
 # ---------------------------------------------------------------- enablement
@@ -134,6 +137,65 @@ def test_lost_task_violation(monkeypatch):
     with pytest.raises(InvariantViolation) as excinfo:
         checker._check_books()
     assert excinfo.value.rule == "no-lost-task"
+
+
+def _busy_kernel(machine, n_tasks: int) -> Kernel:
+    """A bare kernel running *n_tasks* workers that exit when done."""
+    kernel = Kernel(machine, KernelConfig.stock(), seed=0)
+    for i in range(n_tasks):
+        t = kernel.spawn(f"w{i}", work=msecs(5), on_segment_end=lambda: None)
+        t.on_segment_end = (lambda tt=t: kernel.exit(tt))
+    return kernel
+
+
+def test_check_books_clean_kernel():
+    kernel = _busy_kernel(power6_js22(), 4)
+    hooks = len(kernel.core.switch_hooks)
+    check_books(kernel)
+    kernel.sim.run_until(msecs(3))
+    check_books(kernel)
+    kernel.sim.run_until(secs(1))
+    check_books(kernel)
+    assert len(kernel.core.switch_hooks) == hooks  # a one-off check hooks nothing
+
+
+def _corrupt_curr_state(running, queued):
+    running.state = TaskState.SLEEPING
+
+
+def _corrupt_curr_cpu(running, queued):
+    running.cpu = 1 - running.cpu  # the other CPU of a 2-CPU machine
+
+
+def _corrupt_queued_state(running, queued):
+    queued.state = TaskState.SLEEPING
+
+
+def _corrupt_exited_curr(running, queued):
+    running.state = TaskState.EXITED
+
+
+@pytest.mark.parametrize("corrupt,rule", [
+    (_corrupt_curr_state, "curr-running"),
+    (_corrupt_curr_cpu, "curr-running"),
+    (_corrupt_queued_state, "queued-runnable"),
+    (_corrupt_exited_curr, "no-exited-curr"),
+], ids=["curr-wrong-state", "curr-claims-other-cpu", "queued-not-runnable",
+        "exited-still-current"])
+def test_check_books_catches_corruption(monkeypatch, corrupt, rule):
+    monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
+    kernel = _busy_kernel(generic_smp(2), 3)  # two running, one queued
+    running = next(rq.curr for rq in kernel.core.rqs if not rq.curr.is_idle)
+    queued = next(
+        t for t in kernel.tasks.values()
+        if t.state == TaskState.RUNNABLE and not t.is_idle
+    )
+    check_books(kernel)
+    corrupt(running, queued)
+    with pytest.raises(InvariantViolation) as excinfo:
+        check_books(kernel)
+    assert excinfo.value.rule == rule
+    assert rule in INVARIANT_RULES
 
 
 def test_class_order_violation(monkeypatch):

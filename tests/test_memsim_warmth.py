@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.warmth import TaskWarmth, WarmthModel, WarmthParams
+from repro.memsim.warmth import TaskWarmth, WarmthParams
+from tests.oracles.warmth import UnfusedWarmthModel as WarmthModel
 from repro.topology.presets import power6_js22, xeon_dual_socket
 
 
@@ -101,6 +102,8 @@ def test_negative_durations_rejected(model):
         model.evict_for(state, -1)
     with pytest.raises(ValueError):
         model.mean_speed_over(state, -1)
+    with pytest.raises(ValueError):
+        model.advance(state, -1)
 
 
 def test_per_task_cold_speed_override(model):
@@ -198,3 +201,21 @@ def test_memo_key_ignores_cold_speed_and_rewarm_scale(model):
     fresh = TaskWarmth(state.warmth, 0, cold_speed=0.4, rewarm_scale=4.0)
     assert model.time_for_work(fresh, 2995, 0.999) == 5733
     assert model.time_for_work(state, 2995, 0.999) == 5733  # returns 3992
+
+
+@given(
+    warmth=st.floats(0.0, 1.0),
+    delta=st.integers(0, 10_000_000),
+    cold=st.one_of(st.none(), st.floats(0.05, 1.0)),
+    scale=st.floats(0.25, 8.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_advance_equals_unfused_pair(warmth, delta, cold, scale):
+    """``advance`` is ``mean_speed_over`` then ``run_for``, bit for bit."""
+    model = WarmthModel(power6_js22())
+    fused = TaskWarmth(warmth, 0, cold_speed=cold, rewarm_scale=scale)
+    unfused = TaskWarmth(warmth, 0, cold_speed=cold, rewarm_scale=scale)
+    speed = model.advance(fused, delta)
+    assert speed == model.mean_speed_over(unfused, delta)
+    model.run_for(unfused, delta)
+    assert fused.warmth == unfused.warmth

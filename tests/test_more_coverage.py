@@ -1,5 +1,5 @@
 """Additional coverage: wake-ring search, sched_exec states, hybrid and
-multinode edges, spec emitter fallbacks, figure internals."""
+multinode edges, figure internals."""
 
 import pytest
 
@@ -11,10 +11,7 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.sched_core import SchedCoreConfig
 from repro.kernel.task import SchedPolicy, TaskState
 from repro.memsim.warmth import WarmthParams
-from repro.topology.cache import CacheHierarchy, CacheLevel, SharingScope
-from repro.topology.machine import Machine
 from repro.topology.presets import generic_smp, power6_js22
-from repro.topology.spec import machine_spec, parse_machine
 from repro.units import msecs, secs
 
 
@@ -162,20 +159,6 @@ def test_internode_latency_slows_collectives():
     slow = run(5000)
     # 11 collectives x ~5ms extra latency.
     assert slow - fast == pytest.approx(11 * 4990, rel=0.15)
-
-
-# -------------------------------------------------------------- spec edges
-
-
-def test_machine_spec_thread_scope_promoted_to_core():
-    cache = CacheHierarchy(
-        levels=(CacheLevel("L0", 16, SharingScope.THREAD),)
-    )
-    m = Machine(1, 1, 2, cache, smt_throughput=(1.0, 0.7), name="weird")
-    spec = machine_spec(m)
-    assert "L0:16K@core" in spec
-    rebuilt = parse_machine(spec)
-    assert rebuilt.cache.levels[0].shared_by == SharingScope.CORE
 
 
 # ------------------------------------------------------------ histogram edges

@@ -144,6 +144,21 @@ def test_committed_baseline_scores_nas_lanes_in_runs_per_second() -> None:
     assert nas and all(m["unit"] == "runs/s" for m in nas.values())
 
 
+def test_ab_summary_compares_only_lanes_both_suites_report() -> None:
+    from benchmarks.perf.ab import summarize
+
+    def run(**scores: float) -> dict:
+        return doc(1000.0, **scores)["metrics"]
+
+    lines = summarize([run(a=100.0, old=5.0), run(a=110.0, old=5.0)],
+                      [run(a=120.0, new=7.0), run(a=121.0, new=7.0)])
+    rows = {line.split()[0]: line for line in lines[1:]}
+    assert set(rows) == {"a", "new", "old"}
+    assert rows["a"].split()[-1] == "2/2"
+    assert rows["new"].split()[1:] == ["head", "only"]
+    assert rows["old"].split()[1:] == ["base", "only"]
+
+
 def test_ab_pairs_a_revision_with_the_working_tree() -> None:
     """The paired A/B tool extracts a revision, times one lane on both
     sides in fresh interpreters, and prints one summary line per lane."""

@@ -27,7 +27,7 @@ from repro.faults import (
     FaultTolerance,
 )
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.proc import consistency_check
+from repro.kernel.invariants import check_books
 from repro.kernel.task import TaskState
 from repro.topology.presets import power6_js22
 
@@ -119,7 +119,7 @@ def test_hotplug_storms_never_strand_tasks(groups, seed, regime):
     kernel, app, injector = _run(plan, seed=seed, regime=regime)
     assert app.done and not app.stats.aborted
     assert _offline_placement_ok(kernel) == []
-    assert consistency_check(kernel) == []
+    check_books(kernel)
     # Every rank ran to completion — nothing was lost in an evacuation.
     assert app.stats.ranks_exited == app.nprocs
 
@@ -141,7 +141,7 @@ def test_crashes_conserve_task_accounting(groups, seed, mode):
     kernel, app, injector = _run(plan, seed=seed, ft=ft)
     assert app.done
     assert _offline_placement_ok(kernel) == []
-    assert consistency_check(kernel) == []
+    check_books(kernel)
     assert app.stats.lost_work_us <= app.stats.wall_time
     if app.stats.aborted:
         # mpirun semantics: abort kills everything, nothing keeps running.

@@ -1,5 +1,5 @@
-"""Tests for the topology spec language, the noise decomposition, and the
-parameter sweeps."""
+"""Tests for custom machines, the noise decomposition, and the parameter
+sweeps."""
 
 import pytest
 
@@ -12,66 +12,25 @@ from repro.experiments.sweeps import (
     spin_threshold_sweep,
 )
 from repro.kernel.daemons import cluster_node_profile, quiet_profile
-from repro.topology.presets import power6_js22
-from repro.topology.spec import machine_spec, parse_machine
+from repro.topology.cache import CacheHierarchy, CacheLevel, SharingScope
+from repro.topology.machine import Machine
 from repro.units import msecs
 
 
-# ------------------------------------------------------------ topology spec
-
-
-def test_parse_js22_equivalent():
-    m = parse_machine("2x2x2 smt=1.0,0.62 L1:128K@core L2:4M@core name=js22")
-    ref = power6_js22()
-    assert m.n_cpus == ref.n_cpus
-    assert m.smt_throughput == ref.smt_throughput
-    assert m.cache.total_kib == ref.cache.total_kib
-    assert m.name == "js22"
-
-
-def test_parse_size_suffixes():
-    m = parse_machine("1x1x1 L1:64K@core L2:2M@core L3:1G@chip")
-    sizes = [l.size_kib for l in m.cache.levels]
-    assert sizes == [64, 2048, 1024 * 1024]
-
-
-def test_parse_defaults():
-    m = parse_machine("1x2x1 L1:64K@core")
-    assert m.smt_throughput == (1.0,)
-    assert m.name.startswith("spec-")
-
-
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_machine("")
-    with pytest.raises(ValueError):
-        parse_machine("banana L1:64K@core")
-    with pytest.raises(ValueError):
-        parse_machine("2x2x2 L1:64K@pocket")
-    with pytest.raises(ValueError):
-        parse_machine("2x2x2")  # no caches
-    with pytest.raises(ValueError):
-        parse_machine("2x2x2 smt=1.0 L1:64K@core")  # too few smt factors
-    with pytest.raises(ValueError):
-        parse_machine("2x2x2 smt=x L1:64K@core")
-
-
-def test_spec_round_trip():
-    original = power6_js22()
-    spec = machine_spec(original)
-    rebuilt = parse_machine(spec)
-    assert rebuilt.n_chips == original.n_chips
-    assert rebuilt.cores_per_chip == original.cores_per_chip
-    assert rebuilt.threads_per_core == original.threads_per_core
-    assert rebuilt.smt_throughput == original.smt_throughput
-    assert rebuilt.cache.total_kib == original.cache.total_kib
-    assert machine_spec(rebuilt) == spec
+# ---------------------------------------------------------- custom machine
 
 
 def test_parsed_machine_is_runnable():
     from repro.experiments.runner import run_program
 
-    m = parse_machine("1x4x1 L1:64K@core L2:1M@core name=tiny")
+    m = Machine(
+        1, 4, 1,
+        CacheHierarchy(levels=(
+            CacheLevel("L1", size_kib=64, shared_by=SharingScope.CORE),
+            CacheLevel("L2", size_kib=1024, shared_by=SharingScope.CORE),
+        )),
+        smt_throughput=(1.0,), name="tiny",
+    )
     program = Program.iterative(name="t", n_iters=2, iter_work=msecs(2),
                                 init_ops=1, finalize_ops=0)
     result = run_program(program, 4, "stock", seed=1, machine=m,

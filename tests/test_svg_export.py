@@ -2,13 +2,12 @@
 
 import csv
 import io
-import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from repro.analysis.svg import SvgCanvas, histogram_svg, scatter_svg
-from repro.experiments.export import campaign_to_csv, campaign_to_json, export_figures
+from repro.experiments.export import campaign_to_csv, export_figures
 from repro.experiments.runner import run_nas_campaign
 
 
@@ -100,14 +99,6 @@ def test_campaign_csv_round_trip(small_campaign):
     assert rows[0]["program"] == "is.A.8"
     assert float(rows[0]["app_time_s"]) > 0
     assert int(rows[0]["cpu_migrations"]) >= 8
-
-
-def test_campaign_json_summary(small_campaign):
-    doc = json.loads(campaign_to_json(small_campaign))
-    assert doc["label"] == "is.A.8"
-    assert doc["n_runs"] == 3
-    assert doc["summary"]["time_s"]["min"] <= doc["summary"]["time_s"]["max"]
-    assert len(doc["runs"]) == 3
 
 
 def test_export_figures_writes_files(tmp_path):

