@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-faults test-cluster test-batch test-batch-faults test-fabric test-sanitize lint bench perf perf-diff perf-gate report figures examples clean
+.PHONY: install test test-faults test-cluster test-batch test-batch-faults test-fabric test-sanitize lint bench perf perf-diff perf-gate reach report figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -98,6 +98,12 @@ perf-diff:
 # REPRO_PERF_TOLERANCE).
 perf-gate:
 	$(PY) -m pytest benchmarks/perf/test_perf_gate.py -q
+
+# Reachability probe: runs every hpl-repro command line at --jobs 1 under
+# sys.setprofile and prints the never-called function lines per module and
+# in total (about a minute).
+reach:
+	$(PY) -m benchmarks.reach
 
 report:
 	$(PY) -m repro.experiments.report 60 7 > EXPERIMENTS.md

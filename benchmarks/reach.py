@@ -13,6 +13,7 @@ judged by; what it lists still needs a grep before anything goes.
 Usage::
 
     PYTHONPATH=src python -m benchmarks.reach
+    make reach PY="env PYTHONPATH=src python"
 
 It takes about a minute on a 2-CPU host (the profile hook slows every
 call) and is not part of any test suite.

@@ -25,5 +25,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.apps.mpi": ("MpiApplication", "AppStats"),
     "repro.apps.nas": ("NasSpec", "nas_spec", "nas_program", "NAS_BENCHMARKS"),
     "repro.apps.mpiexec": ("LaunchMode", "MpiJob", "JobResult"),
-    "repro.apps.hybrid": ("HybridApplication", "HybridStats"),
 })

@@ -18,8 +18,9 @@ each implemented here against the substrate in :mod:`repro.kernel`:
    consumed by :mod:`repro.kernel.load_balancer`.
 
 User-facing activation mirrors the paper: tasks enter the HPC class through
-``sched_setscheduler`` (:mod:`repro.kernel.syscalls`) or the modified
-``chrt`` wrapper (:func:`repro.core.chrt.chrt_exec`).
+``sched_setscheduler`` (:meth:`repro.kernel.kernel.Kernel.sched_setscheduler`),
+which the modified ``chrt`` of the launcher chain (:mod:`repro.apps.mpiexec`)
+calls on itself before it forks ``mpiexec``.
 """
 
 from repro._lazy import lazy_exports
@@ -27,5 +28,4 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.hpl_class": ("HplClass", "HplParams", "HplQueue"),
     "repro.core.hpl_balancer": ("HplForkPlacer",),
-    "repro.core.chrt": ("chrt_exec",),
 })

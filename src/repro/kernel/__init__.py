@@ -29,6 +29,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "InvariantViolation", "SchedInvariantChecker", "attach_sanitizer",
         "sanitizer_enabled",
     ),
-    "repro.kernel.irq": ("TimerInterruptParams", "TimerInterrupts"),
-    "repro.kernel.power": ("EnergyMeter", "PowerParams"),
 })

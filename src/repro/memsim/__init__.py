@@ -14,5 +14,4 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.memsim.warmth": ("WarmthModel", "WarmthParams", "TaskWarmth"),
-    "repro.memsim.tlb": ("TlbModel", "TlbParams", "TlbAssessment"),
 })

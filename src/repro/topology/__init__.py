@@ -18,7 +18,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.topology.machine": ("Machine", "Chip", "Core", "HWThread"),
     "repro.topology.domains": ("SchedDomain", "DomainLevel", "build_domains"),
     "repro.topology.presets": (
-        "power6_js22", "power6_single_chip", "generic_smp", "xeon_dual_socket",
+        "power6_js22", "generic_smp", "xeon_dual_socket",
         "bluegene_node",
     ),
 })

@@ -18,7 +18,6 @@ from repro.topology.machine import Machine
 
 __all__ = [
     "power6_js22",
-    "power6_single_chip",
     "generic_smp",
     "xeon_dual_socket",
     "bluegene_node",
@@ -35,18 +34,6 @@ def power6_js22() -> Machine:
         cache=power6_cache_hierarchy(),
         smt_throughput=(1.0, 0.62),
         name="power6-js22",
-    )
-
-
-def power6_single_chip() -> Machine:
-    """Half a js22 — used by tests exercising degenerate domain levels."""
-    return Machine(
-        chips=1,
-        cores_per_chip=2,
-        threads_per_core=2,
-        cache=power6_cache_hierarchy(),
-        smt_throughput=(1.0, 0.62),
-        name="power6-1chip",
     )
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.apps.mpi import MpiApplication
+from repro.apps.spmd import Program
 from repro.core.hpl_balancer import HplForkPlacer
+from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.task import SchedPolicy, Task
 from repro.topology.presets import (
     bluegene_node,
@@ -10,6 +13,7 @@ from repro.topology.presets import (
     power6_js22,
     xeon_dual_socket,
 )
+from repro.units import msecs, secs
 
 
 def placer_with_counts(machine, counts=None):
@@ -130,6 +134,33 @@ def test_power_mode_spills_when_chip_full():
     chips = [machine.cpu(c).chip.chip_id for c in plan]
     assert len(set(chips[:4])) == 1  # first chip filled completely
     assert len(set(chips[4:])) == 1 and chips[4] != chips[0]
+
+
+def _run_placement_mode(mode):
+    """4 ranks on the 8-thread js22 under HPL with the given fork placement;
+    returns the app time in seconds and the set of chips the ranks ran on."""
+    kernel = Kernel(power6_js22(), KernelConfig.hpl(hpl_placement_mode=mode),
+                    seed=7)
+    program = Program.iterative(
+        name="power", n_iters=10, iter_work=msecs(25),
+        init_ops=2, startup_work=msecs(6), finalize_ops=0,
+    )
+    app = MpiApplication(kernel, program, 4,
+                         on_complete=lambda a: kernel.sim.stop())
+    kernel.sim.at(msecs(10), lambda: app.launch(policy=SchedPolicy.HPC))
+    kernel.sim.run_until(secs(600))
+    assert app.done and app.stats.app_time is not None
+    chips = {kernel.machine.cpu(t.last_cpu).chip.chip_id
+             for t in app.rank_tasks()}
+    return app.stats.app_time / 1e6, chips
+
+
+def test_power_mode_end_to_end_trades_speed_for_one_chip():
+    perf_t, perf_chips = _run_placement_mode("performance")
+    power_t, power_chips = _run_placement_mode("power")
+    assert len(perf_chips) == 2   # spread: one rank per core
+    assert len(power_chips) == 1  # consolidated, SMT-doubled
+    assert perf_t < power_t * 0.75
 
 
 def test_placer_mode_validation():

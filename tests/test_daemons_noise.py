@@ -1,4 +1,4 @@
-"""Tests for the daemon population, storms, and the noise injector."""
+"""Tests for the daemon population and storms."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.kernel.daemons import (
     quiet_profile,
 )
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.noise import NoiseInjection, NoiseInjector
 from repro.kernel.task import TaskState
 from repro.topology.presets import generic_smp, power6_js22
 from repro.units import msecs, secs
@@ -125,58 +124,3 @@ def test_daemon_determinism():
         kernel.sim.run_until(secs(1))
         counts.append((ds.bursts, kernel.perf.context_switches))
     assert counts[0] == counts[1]
-
-
-# ---------------------------------------------------------------- injector
-
-
-def test_injection_validation():
-    with pytest.raises(ValueError):
-        NoiseInjection(period=0, duration=1)
-    with pytest.raises(ValueError):
-        NoiseInjection(period=10, duration=10)  # 100% duty
-    with pytest.raises(ValueError):
-        NoiseInjection(period=10, duration=5, phase=-1)
-
-
-def test_duty_cycle():
-    inj = NoiseInjection(period=1000, duration=100)
-    assert inj.duty_cycle == pytest.approx(0.1)
-
-
-def test_injector_periodic_bursts():
-    kernel = make_kernel()
-    injector = NoiseInjector(kernel)
-    injector.inject(NoiseInjection(period=msecs(5), duration=msecs(1), cpus=[0]))
-    kernel.sim.run_until(msecs(100))
-    # ~20 periods in 100ms.
-    assert 15 <= injector.bursts_released <= 25
-
-
-def test_injector_all_cpus_by_default():
-    kernel = make_kernel(generic_smp(3))
-    injector = NoiseInjector(kernel)
-    injector.inject(NoiseInjection(period=msecs(10), duration=msecs(1)))
-    assert len(injector.tasks) == 3
-
-
-def test_injector_rejects_bad_cpu():
-    kernel = make_kernel()
-    injector = NoiseInjector(kernel)
-    with pytest.raises(ValueError):
-        injector.inject(NoiseInjection(period=10, duration=1, cpus=[99]))
-
-
-def test_injected_noise_steals_expected_cpu_share():
-    """A 10% duty-cycle injection slows a CPU-bound task by ~10%."""
-    kernel = make_kernel(generic_smp(1))
-    done = []
-    work = msecs(200)
-    t = kernel.spawn("victim", work=work, on_segment_end=lambda: None)
-    t.on_segment_end = lambda: (done.append(kernel.now), kernel.exit(t))
-    injector = NoiseInjector(kernel)
-    injector.inject(NoiseInjection(period=msecs(10), duration=msecs(1), cpus=[0]))
-    kernel.sim.run_until(secs(5))
-    assert done
-    slowdown = done[0] / work
-    assert 1.05 < slowdown < 1.35  # ~11% theft + switch/cache overhead

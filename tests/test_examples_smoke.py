@@ -20,7 +20,6 @@ CASES = [
     ("custom_workload.py", ["1"]),
     ("trace_a_run.py", ["1"]),
     ("isolcpus_vs_hpl.py", ["3"]),
-    ("hybrid_mpi_openmp.py", ["3"]),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Tests for the extension modules: tracing, timelines, the energy meter,
-the TLB model, and multi-node co-simulation."""
+"""Tests for the extension modules: tracing, timelines and multi-node
+co-simulation."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.apps.spmd import Program
 from repro.cluster.multinode import ClusterJob, run_cluster_job
 from repro.kernel.daemons import quiet_profile
 from repro.kernel.kernel import Kernel, KernelConfig
-from repro.kernel.power import EnergyMeter, PowerParams
-from repro.memsim.tlb import TlbModel, TlbParams
 from repro.sim.trace import SchedTrace, TraceEvent, TraceKind, attach_trace
 from repro.topology.presets import generic_smp, power6_js22
 from repro.units import msecs, secs
@@ -117,106 +115,6 @@ def test_gantt_rendering():
     art = render_gantt(tl, names=names, width=40)
     assert "cpu0" in art and "legend:" in art
     assert "w0" in art
-
-
-# -------------------------------------------------------------------- power
-
-
-def test_power_params_validation():
-    with pytest.raises(ValueError):
-        PowerParams(core_busy_w=1.0, core_idle_w=2.0)
-    with pytest.raises(ValueError):
-        PowerParams(smt_extra_w=-1.0)
-
-
-def test_idle_node_power_floor():
-    kernel = Kernel(power6_js22(), KernelConfig.stock(), seed=0)
-    meter = EnergyMeter(kernel)
-    p = meter.power_now()
-    # Both chips fully idle: gated uncore + idle cores.
-    expected = 2 * 6.0 + 4 * 3.5
-    assert p == pytest.approx(expected)
-
-
-def test_busy_power_above_idle():
-    kernel, _ = kernel_with_work(power6_js22(), n_tasks=4, work=msecs(20))
-    meter = EnergyMeter(kernel)
-    assert meter.power_now() > 2 * 6.0 + 4 * 3.5
-
-
-def test_fully_idle_chip_gates_uncore():
-    kernel = Kernel(power6_js22(), KernelConfig.stock(), seed=0)
-    meter = EnergyMeter(kernel)
-    # One task pinned to chip 0 only: chip 1 stays gated.
-    t = kernel.spawn("w", work=msecs(20), on_segment_end=lambda: None,
-                     affinity=frozenset({0}))
-    t.on_segment_end = (lambda: kernel.exit(t))
-    one_chip = meter.power_now()
-    assert one_chip == pytest.approx(20.0 + 6.0 + 14.0 + 3 * 3.5)
-
-
-def test_energy_integrates_over_time():
-    kernel = Kernel(power6_js22(), KernelConfig.stock(), seed=0)
-    meter = EnergyMeter(kernel)
-    kernel.sim.at(secs(1), lambda: None)
-    kernel.sim.run_until(secs(1))
-    joules = meter.sample()
-    idle_power = 2 * 6.0 + 4 * 3.5  # gated uncore + idle cores
-    assert joules == pytest.approx(idle_power * 1.0, rel=0.01)
-
-
-def test_energy_busy_run_costs_more():
-    def energy(n_tasks):
-        kernel = Kernel(power6_js22(), KernelConfig.stock(), seed=0)
-        meter = EnergyMeter(kernel)
-        for i in range(n_tasks):
-            t = kernel.spawn(f"w{i}", work=msecs(50), on_segment_end=lambda: None)
-            t.on_segment_end = (lambda tt=t: kernel.exit(tt))
-        kernel.sim.at(msecs(100), lambda: None)
-        kernel.sim.run_until(msecs(100))
-        return meter.sample()
-
-    assert energy(4) > energy(0)
-
-
-# ---------------------------------------------------------------------- TLB
-
-
-def test_tlb_params_validation():
-    with pytest.raises(ValueError):
-        TlbParams(tlb_entries=0)
-    with pytest.raises(ValueError):
-        TlbParams(miss_penalty_us=0)
-
-
-def test_small_working_set_fully_covered():
-    model = TlbModel()
-    a = model.assess(footprint_kib=1024)  # 256 pages < 1024 entries
-    assert a.coverage == 1.0
-    assert a.miss_rate == 0.0
-    assert a.speed_factor == 1.0
-
-
-def test_large_working_set_pays_drag():
-    model = TlbModel()
-    a = model.assess(footprint_kib=256 * 1024)  # 64K pages >> 1024 entries
-    assert a.coverage < 0.02
-    assert a.speed_factor < 0.95
-
-
-def test_hugepages_recover_speed():
-    model = TlbModel()
-    speedup = model.hugepage_speedup(footprint_kib=256 * 1024)
-    assert speedup > 1.05
-    huge = TlbModel(TlbParams().with_hugepages()).assess(256 * 1024)
-    assert huge.coverage == 1.0
-
-
-def test_switch_refill_scales_with_residency():
-    model = TlbModel()
-    small = model.switch_cost_us(footprint_kib=64)
-    big = model.switch_cost_us(footprint_kib=1 << 20)
-    assert big > small
 
 
 # ---------------------------------------------------------------- multinode

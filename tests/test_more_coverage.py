@@ -1,11 +1,10 @@
-"""Additional coverage: wake-ring search, sched_exec states, hybrid and
-multinode edges, figure internals."""
+"""Additional coverage: wake-ring search, sched_exec states, multinode
+edges, figure internals."""
 
 import pytest
 
 from repro.analysis.histogram import build_histogram
-from repro.apps.hybrid import HybridApplication
-from repro.apps.spmd import Phase, PhaseKind, Program
+from repro.apps.spmd import Program
 from repro.cluster.multinode import ClusterJob
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.sched_core import SchedCoreConfig
@@ -94,48 +93,6 @@ def test_sched_exec_on_exited_task_rejected():
     assert t.state == TaskState.EXITED
     with pytest.raises(ValueError):
         kernel.sched_exec(t)
-
-
-# ------------------------------------------------------------ hybrid edges
-
-
-def test_hybrid_passive_leader_handles_blockio():
-    kernel = clean_kernel(generic_smp(4))
-    program = Program(
-        (
-            Phase(PhaseKind.COMPUTE, work=msecs(2)),
-            Phase(PhaseKind.BLOCKIO, wait_mean=300),
-            Phase(PhaseKind.COMPUTE, work=msecs(2)),
-            Phase(PhaseKind.SYNC, latency=20, timer_start=True, timer_stop=False),
-            Phase(PhaseKind.COMPUTE, work=msecs(2)),
-            Phase(PhaseKind.SYNC, latency=20, timer_stop=True),
-        ),
-        name="edge",
-    )
-    app = HybridApplication(kernel, program, 1, 3, omp_wait="passive",
-                            on_complete=lambda a: kernel.sim.stop())
-    app.launch()
-    kernel.sim.run_until(secs(60))
-    assert app.done
-    assert app.stats.app_time is not None
-
-
-def test_hybrid_more_threads_than_cpus():
-    kernel = clean_kernel(generic_smp(2))
-    program = Program(
-        (
-            Phase(PhaseKind.COMPUTE, work=msecs(4)),
-            Phase(PhaseKind.SYNC, latency=20, timer_start=True, timer_stop=False),
-            Phase(PhaseKind.COMPUTE, work=msecs(4)),
-            Phase(PhaseKind.SYNC, latency=20, timer_stop=True),
-        ),
-        name="oversub",
-    )
-    app = HybridApplication(kernel, program, 1, 4,
-                            on_complete=lambda a: kernel.sim.stop())
-    app.launch()
-    kernel.sim.run_until(secs(60))
-    assert app.done
 
 
 # --------------------------------------------------------- multinode edges

@@ -1,8 +1,7 @@
-"""Tests for the report generator, the chrt helper, and the run queue."""
+"""Tests for the report generator and the run queue."""
 
 import pytest
 
-from repro.core.chrt import POLICY_FLAGS, chrt_exec
 from repro.experiments.report import (
     PAPER_TABLE1A,
     PAPER_TABLE1B,
@@ -11,12 +10,9 @@ from repro.experiments.report import (
 )
 from repro.kernel.cfs import CfsClass
 from repro.kernel.idle import IdleClass
-from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.rt import RtClass
 from repro.kernel.runqueue import CpuRunqueue
 from repro.kernel.task import SchedPolicy, Task, TaskState
-from repro.topology.presets import generic_smp
-from repro.units import msecs, secs
 
 
 # ------------------------------------------------------------------- report
@@ -41,49 +37,6 @@ def test_generate_report_structure():
     assert "## Table II" in report
     assert "is.A.8" in report
     assert "Known deviations" in report
-
-
-# --------------------------------------------------------------------- chrt
-
-
-def test_chrt_flags_cover_hpc():
-    assert POLICY_FLAGS["--hpc"] == SchedPolicy.HPC
-    assert POLICY_FLAGS["--fifo"] == SchedPolicy.FIFO
-
-
-def test_chrt_exec_switches_class_then_execs():
-    kernel = Kernel(generic_smp(2), KernelConfig.hpl(), seed=0)
-    record = {}
-    task = kernel.spawn("proc", work=msecs(1), on_segment_end=lambda: None)
-
-    def on_end():
-        chrt_exec(kernel, task, "--hpc", lambda t: record.update(policy=t.policy))
-        kernel.exit(task)
-
-    task.on_segment_end = on_end
-    kernel.sim.run_until(secs(1))
-    assert record["policy"] == SchedPolicy.HPC
-
-
-def test_chrt_exec_rt_priority():
-    kernel = Kernel(generic_smp(2), KernelConfig.stock(), seed=0)
-    task = kernel.spawn("proc", work=msecs(1), on_segment_end=lambda: None)
-
-    def on_end():
-        chrt_exec(kernel, task, "--fifo", lambda t: None, rt_priority=77)
-        kernel.exit(task)
-
-    task.on_segment_end = on_end
-    kernel.sim.run_until(secs(1))
-    assert task.rt_priority == 77
-
-
-def test_chrt_unknown_flag():
-    kernel = Kernel(generic_smp(1), KernelConfig.stock(), seed=0)
-    task = kernel.spawn("p", work=msecs(5), on_segment_end=lambda: None)
-    task.on_segment_end = lambda: kernel.exit(task)
-    with pytest.raises(ValueError):
-        chrt_exec(kernel, task, "--warp", lambda t: None)
 
 
 # ----------------------------------------------------------------- runqueue

@@ -9,7 +9,6 @@ from repro.topology.presets import (
     bluegene_node,
     generic_smp,
     power6_js22,
-    power6_single_chip,
     xeon_dual_socket,
 )
 
@@ -127,7 +126,6 @@ def test_describe_mentions_shape():
 
 
 def test_presets_are_consistent():
-    assert power6_single_chip().n_cpus == 4
     assert generic_smp(6).n_cpus == 6
     assert bluegene_node().n_cpus == 4
     assert xeon_dual_socket(cores_per_socket=4, smt=True).n_cpus == 16
